@@ -2,9 +2,12 @@
 
 Configuration comes from an optional flat ``key = value`` file ('#' starts
 a comment); every key can be overridden by the command-line flag of the
-same name, and flags always win.  The environment variable
-``MULTISPIN_THREADS`` overrides the configured thread count (flags still
-beat it).  Trajectories are written as CSV with the header
+same name, and flags always win.  ``--threads`` defaults to 1; the
+environment variable ``MULTISPIN_THREADS`` overrides the configured thread
+count (flags still beat it).  Input that cannot run (threads below 1, a
+temperature that is not finite and positive, a non-finite J, a validate
+run too short to analyse) exits 2 before any output.  Trajectories are
+written as CSV with the header
 ``sweep,sim,temperature,abs_magnetization,energy_per_spin``, floats printed
 with 9 significant digits, '.' decimals and plain newlines.
 """
@@ -12,6 +15,7 @@ with 9 significant digits, '.' decimals and plain newlines.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -22,7 +26,7 @@ import numpy as np
 from . import bitkernels, engine as engine_mod
 from .engine import Engine, neighbor_codes, run_simulations
 from .lattice import LatticeDims, TC_OVER_J, pack, unpack
-from .observables import Trajectory, summarize
+from .observables import MIN_EQUILIBRATION_SAMPLES, Trajectory, summarize
 from .reference import (
     checkerboard_sweep_plain,
     neighbor_code_brute,
@@ -50,7 +54,8 @@ _BAND_HIGH = 1.10 * TC_OVER_J
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
+    # Adding 0.0 turns -0.0 into 0.0 and leaves every other value unchanged.
+    return format(float(x) + 0.0, ".9g")
 
 
 @dataclass
@@ -67,7 +72,7 @@ class SimConfig:
     seed: int = 1
     init: str = "random"
     output: str = ""
-    threads: int = 0
+    threads: int = 1
     tolerance: float = 0.02
     disordered_cap: float = 0.10
     warmup: int = 10
@@ -80,10 +85,8 @@ class SimConfig:
         return tuple(t for t in self.temperature for _ in range(self.n_sim))
 
     def effective_threads(self) -> int:
-        """Configured count, or one worker per simulation up to the CPU count."""
-        if self.threads > 0:
-            return self.threads
-        return max(1, min(len(self.sim_temperatures()), os.cpu_count() or 1))
+        """Worker threads run_simulations uses: at most one per simulation."""
+        return min(self.threads, len(self.sim_temperatures()))
 
 
 def parse_temperatures(text: str) -> tuple:
@@ -147,8 +150,16 @@ def build_config(args: argparse.Namespace) -> SimConfig:
             continue
         setattr(cfg, key, parse_temperatures(value) if key == "temperature" else value)
     LatticeDims(cfg.m, cfg.n)
-    if cfg.sweeps < 0:
-        raise ValueError("sweeps must be non-negative")
+    if cfg.sweeps < 0 or cfg.warmup < 0:
+        raise ValueError("sweeps and warmup must be non-negative")
+    if cfg.measure_interval < 1:
+        raise ValueError("measure interval must be positive")
+    if cfg.threads < 1:
+        raise ValueError(f"threads must be at least 1, got {cfg.threads}")
+    if not all(math.isfinite(t) and t > 0 for t in cfg.temperature):
+        raise ValueError(f"temperatures must be finite and positive, got {cfg.temperature}")
+    if not math.isfinite(cfg.j):
+        raise ValueError(f"coupling j must be finite, got {cfg.j}")
     return cfg
 
 
@@ -172,7 +183,7 @@ def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threads",
         type=int,
-        help=f"worker threads over simulations (0 = auto; ${ENV_THREADS} overrides config)",
+        help=f"worker threads over simulations (default 1; ${ENV_THREADS} overrides config)",
     )
 
 
@@ -252,6 +263,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     cfg = build_config(args)
+    measurements = -(-cfg.sweeps // cfg.measure_interval)  # every interval, plus the last sweep
+    if measurements < MIN_EQUILIBRATION_SAMPLES:
+        raise ValueError(
+            f"validate needs at least {MIN_EQUILIBRATION_SAMPLES} measurements per simulation, "
+            f"got {measurements} ({cfg.sweeps} sweeps, interval {cfg.measure_interval})"
+        )
     trajectory = _run_config(cfg)
     temps = trajectory.temperatures
     print(f"# {cfg.m}x{cfg.n}, {cfg.sweeps} sweeps, seed {cfg.seed}, init {cfg.init}")
@@ -301,6 +318,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     if len(cfg.temperature) != 1:
         raise ValueError("bench uses a single temperature")
+    if cfg.sweeps < 1:
+        raise ValueError("bench needs at least one timed sweep")
     dims = cfg.dims()
     temperature = cfg.temperature[0]
     sizes = []
@@ -310,32 +329,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
         k *= 2
     sizes.append(cfg.n_sim)
     print(f"# {dims.m}x{dims.n}, T={temperature}, {cfg.sweeps} timed sweeps "
-          f"(+{cfg.warmup} warmup), threads={cfg.effective_threads()}")
+          f"(+{cfg.warmup} warmup; set-up timed), threads={cfg.effective_threads()}")
     print(f"{'n_sim':>6} {'attempts':>14} {'flips/ns':>12} {'T_iter (ms)':>12} {'sweeps/s':>10}")
     for n_sim in sizes:
         temps = (temperature,) * n_sim
-        eng_threads = cfg.effective_threads()
+        run_simulations(dims, temps, cfg.seed, cfg.warmup,
+                        measure_interval=max(1, cfg.warmup), init=cfg.init,
+                        coupling=cfg.j, threads=cfg.threads)
         t0 = time.perf_counter()
-        if eng_threads == 1 or n_sim == 1:
-            eng = Engine(dims, temps, cfg.seed, init=cfg.init, coupling=cfg.j)
-            for _ in range(cfg.warmup):
-                eng.sweep()
-            attempts_before = eng.attempts
-            t0 = time.perf_counter()
-            for _ in range(cfg.sweeps):
-                eng.sweep()
-            elapsed = time.perf_counter() - t0
-            attempts = eng.attempts - attempts_before
-        else:
-            run_simulations(dims, temps, cfg.seed, cfg.warmup,
-                            measure_interval=max(1, cfg.warmup), init=cfg.init,
-                            coupling=cfg.j, threads=eng_threads)
-            t0 = time.perf_counter()
-            traj = run_simulations(dims, temps, cfg.seed, cfg.sweeps,
-                                   measure_interval=max(1, cfg.sweeps), init=cfg.init,
-                                   coupling=cfg.j, threads=eng_threads)
-            elapsed = time.perf_counter() - t0
-            attempts = traj.meta["attempts"]
+        traj = run_simulations(dims, temps, cfg.seed, cfg.sweeps,
+                               measure_interval=cfg.sweeps, init=cfg.init,
+                               coupling=cfg.j, threads=cfg.threads)
+        elapsed = time.perf_counter() - t0
+        attempts = traj.meta["attempts"]
         expected = dims.sites * n_sim * cfg.sweeps
         if attempts != expected:
             raise AssertionError(f"attempt counter {attempts} != {expected}")

@@ -450,22 +450,19 @@ def run_simulations(
     coupling: float = 1.0,
     threads: int = 1,
 ) -> Trajectory:
-    """Run simulations, optionally splitting them across worker threads.
+    """Run simulations in contiguous slices, one thread per slice.
 
-    Thread workers own contiguous simulation slices; stream indices are
-    global, so any thread count produces bit-identical trajectories.
+    The ``threads`` slices (at most one per simulation) each get their own
+    ``Engine`` with a matching ``sim_offset``; their trajectories are merged
+    in simulation order.  Stream indices are global, so any thread count
+    produces bit-identical trajectories.
     """
     temperatures = tuple(float(t) for t in temperatures)
-    threads = max(1, int(threads))
+    if not temperatures:
+        raise ValueError("need at least one simulation temperature")
+    if threads < 1:
+        raise ValueError("thread count must be at least 1")
     t0 = time.perf_counter()
-    if threads == 1 or len(temperatures) == 1:
-        traj = Engine(dims, temperatures, seed, init=init, coupling=coupling).run(
-            n_sweeps, measure_interval
-        )
-        traj.meta["elapsed_s"] = time.perf_counter() - t0
-        traj.meta["threads"] = 1
-        return traj
-
     threads = min(threads, len(temperatures))
     bounds = np.linspace(0, len(temperatures), threads + 1).astype(int)
     slices = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
@@ -475,8 +472,10 @@ def run_simulations(
                      sim_offset=lo)
         return eng.run(n_sweeps, measure_interval)
 
-    with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-        parts = list(pool.map(lambda ab: run_slice(*ab), slices))
+    # The calling thread runs the first slice, so one slice starts no thread.
+    with ThreadPoolExecutor(max_workers=max(1, len(slices) - 1)) as pool:
+        rest = [pool.submit(run_slice, lo, hi) for lo, hi in slices[1:]]
+        parts = [run_slice(*slices[0])] + [f.result() for f in rest]
 
     merged = Trajectory(
         sweeps=parts[0].sweeps,

@@ -19,9 +19,12 @@ __all__ = [
     "Trajectory",
     "statistical_inefficiency",
     "detect_equilibration",
+    "MIN_EQUILIBRATION_SAMPLES",
     "Summary",
     "summarize",
 ]
+
+MIN_EQUILIBRATION_SAMPLES = 20  # shortest series detect_equilibration accepts
 
 
 @dataclass
@@ -91,8 +94,9 @@ def detect_equilibration(series, n_origins: int = 10) -> tuple[int, float, float
     inefficiency of ``series[t0:]`` and ``n_eff = (N - t0) / g``.
     """
     a = np.asarray(series, dtype=np.float64).ravel()
-    if a.size < 20:
-        raise ValueError(f"equilibration detection needs at least 20 measurements, got {a.size}")
+    if a.size < MIN_EQUILIBRATION_SAMPLES:
+        raise ValueError(f"equilibration detection needs at least {MIN_EQUILIBRATION_SAMPLES} "
+                         f"measurements, got {a.size}")
     if a.std() == 0.0:
         return 0, 1.0, float(a.size)
     upper = max(1, (3 * a.size) // 4)

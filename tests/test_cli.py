@@ -5,10 +5,14 @@ import pytest
 from multispin.cli import (
     CSV_HEADER,
     ENV_THREADS,
+    build_config,
+    build_parser,
     main,
     parse_config_file,
     parse_temperatures,
 )
+
+SMALL = ("--m", "12", "--n", "96", "--sweeps", "10", "--measure-interval", "10")
 
 
 def run_cli(*argv, capsys=None):
@@ -75,6 +79,12 @@ class TestConfigFile:
         assert run_cli("simulate", "--config", str(cfg), "--threads", "1", "--output", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()  # same numbers either way
 
+    def test_default_is_one_thread(self, monkeypatch):
+        monkeypatch.delenv(ENV_THREADS, raising=False)
+        args = build_parser().parse_args(["simulate", "--temperature", "1.0:3.0:0.5"])
+        cfg = build_config(args)
+        assert cfg.threads == 1 and cfg.effective_threads() == 1
+
     def test_malformed_line_reports_location(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("m 12\n")
@@ -93,6 +103,53 @@ class TestConfigFile:
         assert "multiple of 4" in err
         assert run_cli("simulate", "--m", "12", "--n", "95") == 2
         assert "multiple of 32" in capsys.readouterr().err
+
+
+class TestInputHardening:
+    """Input that cannot run exits 2 before writing anything."""
+
+    def expect_rejected(self, capsys, *argv, match):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert match in captured.err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_flag(self, capsys, threads):
+        self.expect_rejected(capsys, "simulate", *SMALL, "--threads", threads,
+                             match="threads must be at least 1")
+
+    def test_threads_below_one_config(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(ENV_THREADS, raising=False)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 0\n")
+        self.expect_rejected(capsys, "simulate", "--config", str(cfg), *SMALL,
+                             match="threads must be at least 1")
+
+    def test_threads_below_one_env(self, capsys, monkeypatch):
+        monkeypatch.setenv(ENV_THREADS, "-3")
+        self.expect_rejected(capsys, "simulate", *SMALL, match="threads must be at least 1")
+
+    @pytest.mark.parametrize("spec", ["nan", "inf", "2.0,-inf", "0"])
+    def test_bad_temperature(self, capsys, spec):
+        self.expect_rejected(capsys, "simulate", *SMALL, "--temperature", spec,
+                             match="temperatures must be finite and positive")
+
+    @pytest.mark.parametrize("j", ["nan", "inf"])
+    def test_non_finite_coupling(self, capsys, j):
+        self.expect_rejected(capsys, "simulate", *SMALL, "--j", j, match="must be finite")
+
+    def test_validate_too_few_measurements(self, capsys):
+        self.expect_rejected(capsys, "validate", "--m", "12", "--n", "96", "--sweeps", "19",
+                             "--measure-interval", "1", match="at least 20 measurements")
+
+    def test_bench_without_timed_sweeps(self, capsys):
+        self.expect_rejected(capsys, "bench", "--m", "12", "--n", "96", "--sweeps", "0",
+                             match="at least one timed sweep")
+
+    def test_bench_negative_warmup(self, capsys):
+        self.expect_rejected(capsys, "bench", *SMALL, "--warmup", "-1",
+                             match="warmup must be non-negative")
 
 
 class TestSimulateCsv:
@@ -152,6 +209,11 @@ class TestSimulateCsv:
         assert [row.split(",")[1] for row in lines] == ["0", "1", "2", "3", "4"]
         assert [row.split(",")[2] for row in lines] == ["1", "1.5", "2", "2.5", "3"]
 
+    def test_zero_coupling_prints_no_negative_zero(self, capsys):
+        assert run_cli("simulate", *SMALL, "--j", "0") == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows and all(row.split(",")[4] == "0" for row in rows)
+
     def test_stdout_default(self, capsys):
         assert (
             run_cli(
@@ -202,6 +264,18 @@ class TestBench:
         attempts = [int(r[1]) for r in rows]
         assert attempts[1] == 2 * attempts[0] and attempts[2] == 2 * attempts[1]
         assert "not reproducible" in out
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_attempt_counts_at_thread_counts(self, capsys, threads):
+        code = run_cli(
+            "bench", "--m", "12", "--n", "96", "--temperature", "2.0", "--sweeps", "5",
+            "--n-sim", "3", "--warmup", "1", "--threads", str(threads),
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"threads={threads}" in out
+        rows = [l.split() for l in out.splitlines() if l and l[0] == " " and l.strip()[0].isdigit()]
+        assert [(int(r[0]), int(r[1])) for r in rows] == [(n, 12 * 96 * n * 5) for n in (1, 2, 3)]
 
 
 class TestRngTest:

@@ -317,6 +317,13 @@ class TestRunSimulations:
         assert (serial.abs_m == threaded.abs_m).all()
         assert (serial.energy == threaded.energy).all()
         assert serial.meta["attempts"] == threaded.meta["attempts"]
+        assert (serial.meta["threads"], threaded.meta["threads"]) == (1, 3)
+
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(ValueError, match="thread count"):
+            run_simulations(DIMS, (2.0,), 1, 1, threads=0)
+        with pytest.raises(ValueError, match="at least one simulation"):
+            run_simulations(DIMS, (), 1, 1)
 
     def test_cross_sim_consistency(self):
         # replicas at one temperature scatter around a common mean

@@ -127,13 +127,16 @@ class TestStreamSet:
             assert block[:, j].tolist() == [gen.next_raw64() for _ in range(6)]
 
     def test_python_and_numpy_paths_identical(self):
-        a = XoshiroStreams(99, 7)
-        b = XoshiroStreams(99, 7)
-        blk_py = a.raw_block(40)
-        blk_np = b.raw_block(40, _force_numpy=True)
-        assert (blk_py == blk_np).all()
-        # and the states stay in lockstep afterwards
-        assert (a.raw_block(3) == b.raw_block(3, _force_numpy=True)).all()
+        # 7 streams run the python-int loop and 40 the uint64-array loop; the
+        # shared columns must agree, and stay in lockstep over a second block.
+        assert 7 <= XoshiroStreams._PYTHON_MAX_STREAMS < 40
+        wide = XoshiroStreams(99, 40)
+        narrow = [XoshiroStreams(99, 7), XoshiroStreams(99, 7, first_stream=30)]
+        for count in (40, 3):
+            blk_np = wide.raw_block(count)
+            blk_py = [streams.raw_block(count) for streams in narrow]
+            assert (blk_py[0] == blk_np[:, :7]).all()
+            assert (blk_py[1] == blk_np[:, 30:37]).all()
 
     def test_offset_slices_reproduce_full_run(self):
         full = XoshiroStreams(13, 6).unit_block(5)
