@@ -7,9 +7,9 @@ four blue quarter-flips and the blue copies.  Within a phase, cells only
 read the opposite color, so everything updates in lockstep with no ordering
 hazards; boundary copies move data between adjacent cell columns only.
 
-Flip randomness comes from one xoshiro stream per (simulation, cell).  Every
-gating draw is consumed in a fixed order -- quarter, bit offset i, field ii,
-word element -- so runs are bit-identical no matter how simulations are
+Flip randomness comes from one xoshiro stream per (simulation, cell, word).
+Each stream draws once per spin of its word in a fixed order -- quarter, bit
+offset i, field ii -- so runs are bit-identical no matter how simulations are
 partitioned across threads, and a recorder can key every draw to the one
 spin it gated.
 """
@@ -70,9 +70,11 @@ FLIP_BLUE = (
 _RED_BOUNDARY = tuple((q[0], BOUNDARY_RULES[q[0]]) for q in FLIP_RED)
 _BLUE_BOUNDARY = tuple((q[0], BOUNDARY_RULES[q[0]]) for q in FLIP_BLUE)
 
-# Stream index space: flip streams are sim*cells + (cell-1); initial-state
-# streams live far above so the two can never collide.
+# Flip stream of (sim, cell, word): ((sim_offset+sim)*cells + cell-1)*words + word-1;
+# initial-state streams live far above so the two can never collide.
 _INIT_STREAM_BASE = 1 << 48
+_DRAW_SCALE = 1 << 23  # a draw is k / _DRAW_SCALE, k an integer in [0, _DRAW_SCALE)
+_FIELDS = np.array([0, 4, 8, 12], dtype=np.uint16).reshape(4, 1, 1, 1)  # nibble field offsets
 
 
 def build_exp_table(T: float, J: float = 1.0) -> np.ndarray:
@@ -92,6 +94,11 @@ def build_exp_table(T: float, J: float = 1.0) -> np.ndarray:
             # free or energy-lowering flips are certain; exp would overflow
             table[8 * own + up_count] = 1.0 if delta_e <= 0 else math.exp(-delta_e / T)
     return table
+
+
+def _draw_limits(tables: np.ndarray) -> np.ndarray:
+    """Per-entry ``ceil(p * 2**23)``: the draw k accepts exactly when k < limit."""
+    return np.ceil(tables * _DRAW_SCALE).astype(np.uint32)
 
 
 def get_neighbors(lateral: np.ndarray, vertical: np.ndarray, up: bool, right: bool):
@@ -154,16 +161,12 @@ def neighbor_codes(packed: PackedArrays) -> np.ndarray:
     table = spin_index_table(dims)
     out = np.empty(dims.sites, dtype=np.uint8)
     for target, lateral, vertical, up, right in FLIP_RED + FLIP_BLUE:
-        s_r, s_l, s_t, s_b = get_neighbors(
-            packed.matrix(lateral), packed.matrix(vertical), up, right
-        )
-        ones, twos, fours = bitwise_add4(s_r, s_l, s_t, s_b)
+        neighbors = get_neighbors(packed.matrix(lateral), packed.matrix(vertical), up, right)
+        ones, twos, fours = bitwise_add4(*neighbors)
         interior = packed.interior(target)
         for i in range(4):
             ssum = nibble_compact(ones, twos, fours, interior, i)
-            for ii in range(4):
-                codes = (ssum >> np.uint16(4 * ii)) & np.uint16(0xF)
-                out[table[target.index, 4 * ii + i]] = codes
+            out[table[target.index, i::4]] = (ssum >> _FIELDS[:, 0]) & 0xF
     return out
 
 
@@ -255,10 +258,9 @@ class Engine:
         self.init = init
 
         self._tables = np.stack([build_exp_table(t, coupling) for t in self.temperatures])
-        self._sim_sel = np.arange(self.n_sim)[:, None, None]
-        self.streams = XoshiroStreams(
-            self.seed, self.n_sim * dims.cells, first_stream=self.sim_offset * dims.cells
-        )
+        self._table_base = 16 * np.arange(self.n_sim)[:, None, None]  # row offsets in _tables
+        self.streams = XoshiroStreams(self.seed, self.n_sim * dims.cells * dims.words,
+                                      first_stream=self.sim_offset * dims.cells * dims.words)
         self.state = np.zeros((self.n_sim, len(ALL_CODES), dims.cols, dims.vec_len), np.uint16)
         for s in range(self.n_sim):
             self.state[s] = pack(self._initial_lattice(s)).words
@@ -311,36 +313,35 @@ class Engine:
 
     # -- flips ----------------------------------------------------------------
 
-    def _flip_quarter(self, quarter: int, target: ArrayCode, lateral: ArrayCode,
-                      vertical: ArrayCode, up: bool, right: bool, draws: np.ndarray) -> None:
+    def _flip_quarter(self, target: ArrayCode, lateral: ArrayCode, vertical: ArrayCode,
+                      up: bool, right: bool, draws: np.ndarray, limits: np.ndarray) -> None:
         st = self.state
         s_r, s_l, s_t, s_b = get_neighbors(st[:, lateral.index], st[:, vertical.index], up, right)
         ones, twos, fours = bitwise_add4(s_r, s_l, s_t, s_b)
         interior = st[:, target.index, 1:-1, 1:-1]
-        flips = 0
+        # Every lane reads only the opposite color and its own pre-quarter
+        # bit, so the accepted flips of all 16 lanes apply at once.
+        flipped = np.zeros_like(interior)
         for i in range(4):
             ssum = nibble_compact(ones, twos, fours, interior, i)
-            for ii in range(4):
-                codes = (ssum >> np.uint16(4 * ii)) & np.uint16(0xF)
-                threshold = self._tables[self._sim_sel, codes]
-                r = draws[:, :, quarter, 4 * i + ii, :]
-                if self.recorder is not None:
+            codes = (ssum >> _FIELDS) & 0xF
+            k = draws[4 * i : 4 * i + 4]
+            if self.recorder is not None:
+                for ii, r in enumerate(k / _DRAW_SCALE):
                     self.recorder.record(self.sweeps_done, target, 4 * ii + i, r)
-                accepted = r < threshold
-                interior ^= accepted.astype(np.uint16) << np.uint16(4 * ii + i)
-                flips += int(np.count_nonzero(accepted))
-        self.flips += flips
+            accepted = (k < limits[codes + self._table_base]).astype(np.uint16)
+            flipped |= np.bitwise_or.reduce(accepted << (_FIELDS + np.uint16(i)), axis=0)
+        interior ^= flipped
+        self.flips += int(_pop16()[flipped].sum(dtype=np.int64))
 
     def _flip_phase(self, quarters) -> None:
-        dims = self.dims
-        block = self.streams.unit_block(len(quarters) * 16 * dims.words)
-        # Row r of the block is draw (quarter, 4*i + ii, element) of every
-        # stream; per stream the consumption order is exactly that nesting.
-        draws = np.ascontiguousarray(block.T).reshape(
-            self.n_sim, dims.cells, len(quarters), 16, dims.words
-        )
+        block = self.streams.unit_block(len(quarters) * 16)
+        # Row 16*q + 4*i + ii of the block gates bit 4*ii + i of quarter q;
+        # column (sim*cells + cell-1)*words + word-1 is that word's stream.
+        draws = block.reshape(len(quarters), 16, self.n_sim, self.dims.cells, self.dims.words)
+        limits = _draw_limits(self._tables).ravel()
         for q, (target, lateral, vertical, up, right) in enumerate(quarters):
-            self._flip_quarter(q, target, lateral, vertical, up, right, draws)
+            self._flip_quarter(target, lateral, vertical, up, right, draws[q], limits)
 
     def flip_red(self) -> None:
         """Attempt every red spin once (blue halos must be current)."""

@@ -26,6 +26,7 @@ __all__ = [
     "Xoshiro256pp",
     "XoshiroStreams",
     "stream_state",
+    "stream_states",
     "shape_unit_float",
     "TestReport",
     "monobit_test",
@@ -50,16 +51,16 @@ _MANTISSA = 0x7FFFFF
 _UNIT = 2.0 ** -23
 
 
-def _mix64(z: int) -> int:
-    """splitmix64 output finalizer."""
-    z &= _M64
+def _mix64(z):
+    """splitmix64 output finalizer, on a python int or a uint64 array."""
+    z = z & _M64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
     return z ^ (z >> 31)
 
 
-def splitmix64(seed: int, count: int) -> list[int]:
-    """First ``count`` outputs of a splitmix64 sequence started at ``seed``."""
+def splitmix64(seed, count: int) -> list:
+    """First ``count`` splitmix64 outputs from ``seed``, a python int or a uint64 array."""
     out = []
     z = seed & _M64
     for _ in range(count):
@@ -72,14 +73,18 @@ def stream_state(master_seed: int, stream: int) -> list[int]:
     """256-bit xoshiro state for one numbered stream of a master seed.
 
     The stream seed is the (stream+1)-th splitmix64 output of the master
-    seed; four more splitmix64 outputs of that seed fill the state.  The
-    all-zero state is absorbing and gets patched away.
+    seed; four more splitmix64 outputs of that seed fill the state.  They
+    come from four distinct inputs of a bijective finalizer, so at most one
+    word is zero and the absorbing all-zero state cannot occur.
     """
-    stream_seed = _mix64(master_seed + (stream + 1) * _GOLDEN)
-    state = splitmix64(stream_seed, 4)
-    if not any(state):
-        state[0] = _GOLDEN
-    return state
+    return splitmix64(_mix64(master_seed + (stream + 1) * _GOLDEN), 4)
+
+
+def stream_states(master_seed: int, first_stream: int, count: int) -> np.ndarray:
+    """(4, count) uint64 array; column j is ``stream_state(master_seed, first_stream + j)``."""
+    streams = np.arange(first_stream + 1, first_stream + count + 1, dtype=np.uint64)
+    stream_seeds = _mix64(np.uint64(master_seed & _M64) + streams * np.uint64(_GOLDEN))
+    return np.array(splitmix64(stream_seeds, 4), dtype=np.uint64)
 
 
 def _step_ints(state: list, count: int) -> list:
@@ -101,25 +106,30 @@ def _step_ints(state: list, count: int) -> list:
 
 
 def _step_arrays(state: list, count: int) -> np.ndarray:
-    """(count, streams) outputs of many streams as uint64 arrays; advances ``state``.
+    """(count, streams) outputs of many streams as uint64 arrays; advances ``state`` in place.
 
     ``state`` holds four uint64 arrays, one per state word; uint64 arithmetic
     wraps modulo 2**64, so no masks are needed.
     """
     s0, s1, s2, s3 = state
     out = np.empty((count, s0.size), dtype=np.uint64)
+    x, t = np.empty_like(s0), np.empty_like(s0)
     c23, c41, c17, c45, c19 = (np.uint64(k) for k in (23, 41, 17, 45, 19))
-    for k in range(count):
-        x = s0 + s3
-        out[k] = ((x << c23) | (x >> c41)) + s0
-        t = s1 << c17
-        s2 = s2 ^ s0
-        s3 = s3 ^ s1
-        s1 = s1 ^ s2
-        s0 = s0 ^ s3
-        s2 = s2 ^ t
-        s3 = (s3 << c45) | (s3 >> c19)
-    state[:] = (s0, s1, s2, s3)
+    for row in out:
+        np.add(s0, s3, out=x)
+        np.left_shift(x, c23, out=row)
+        x >>= c41
+        row |= x
+        row += s0
+        np.left_shift(s1, c17, out=t)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        np.left_shift(s3, c45, out=x)
+        s3 >>= c19
+        s3 |= x
     return out
 
 
@@ -165,21 +175,14 @@ class Xoshiro256pp:
 
 
 class XoshiroStreams:
-    """Many xoshiro256++ streams advanced in lockstep.
+    """Many xoshiro256++ streams advanced in lockstep on uint64 arrays.
 
     Column j of every returned block belongs to stream ``first_stream + j``
     and is that stream's own sequence, so a consumer bound to one column
     sees the same draws no matter how many streams run beside it or how the
-    streams are partitioned across workers.  Up to ``_PYTHON_MAX_STREAMS``
-    streams, each column comes from ``_step_ints``, the python-int loop
-    ``Xoshiro256pp`` uses; above it, each row is one ``_step_arrays`` step.
-    Both loops emit identical values; the choice only sets the speed.
+    streams are partitioned across workers.  A block row is one array step of
+    every stream, so the numpy calls per block do not grow with the streams.
     """
-
-    # 2-vCPU host, numpy 2.4, 192-256 rows per block: the two loops tie at
-    # 12 streams (2.0 ms per 256 rows); the array loop is 2.8x faster at 32
-    # (2.0 vs 5.7 ms) and 2-4x slower at 3-6 streams.
-    _PYTHON_MAX_STREAMS = 12
 
     def __init__(self, master_seed: int, n_streams: int, first_stream: int = 0):
         if n_streams < 1:
@@ -187,22 +190,15 @@ class XoshiroStreams:
         self.master_seed = int(master_seed)
         self.n_streams = int(n_streams)
         self.first_stream = int(first_stream)
-        states = [stream_state(self.master_seed, self.first_stream + j) for j in range(n_streams)]
-        if self.n_streams <= self._PYTHON_MAX_STREAMS:
-            self._s = states
-        else:
-            self._s = list(np.array(states, dtype=np.uint64).T.copy())
+        self._s = list(stream_states(self.master_seed, self.first_stream, self.n_streams))
 
     def raw_block(self, count: int) -> np.ndarray:
         """(count, n_streams) uint64 block; row k is every stream's k-th output."""
-        if self.n_streams <= self._PYTHON_MAX_STREAMS:
-            return np.array([_step_ints(s, count) for s in self._s], dtype=np.uint64).T
         return _step_arrays(self._s, count)
 
     def unit_block(self, count: int) -> np.ndarray:
-        """(count, n_streams) float64 block of shaped unit floats."""
-        raw = self.raw_block(count)
-        return ((raw >> np.uint64(32)) & np.uint64(_MANTISSA)) * _UNIT
+        """(count, n_streams) uint32 block of k; the draw is k * 2**-23, as in next_unit_float."""
+        return (self.raw_block(count) >> np.uint64(32)).astype(np.uint32) & np.uint32(_MANTISSA)
 
 
 def shape_unit_float(raw32):

@@ -9,6 +9,7 @@ from multispin.engine import (
     FLIP_BLUE,
     FLIP_RED,
     Engine,
+    _draw_limits,
     build_exp_table,
     get_neighbors,
     neighbor_codes,
@@ -17,11 +18,13 @@ from multispin.engine import (
 from multispin.lattice import (
     ALL_CODES,
     ArrayCode,
+    TC_OVER_J,
     LatticeDims,
     classify,
     neighbor_indices,
 )
 from multispin.reference import energy, neighbor_code_brute
+from multispin.rng import XoshiroStreams
 
 DIMS = LatticeDims(12, 96)
 
@@ -68,6 +71,21 @@ class TestExpTable:
             build_exp_table(0.0)
         with pytest.raises(ValueError):
             build_exp_table(-2.0)
+
+    def test_integer_limits_equal_float_comparison(self):
+        k = np.arange(1 << 23, dtype=np.uint32)
+        unit = k * 2.0 ** -23
+        probs = {
+            float(p)
+            for T in (1e-6, 0.5, 2.0, TC_OVER_J, 8.0, 1e6)
+            for J in (1.0, 0.5, 0.0, -1.0)
+            for p in build_exp_table(T, J)
+        }
+        assert {0.0, 1.0} < probs
+        limits = _draw_limits(np.array(sorted(probs)))
+        for p, limit in zip(sorted(probs), limits):
+            assert ((k < limit) == (unit < p)).all(), p
+        assert _draw_limits(np.array([0.0, 1.0])).tolist() == [0, 1 << 23]
 
 
 class TestGetNeighbors:
@@ -208,6 +226,32 @@ class TestFlips:
         # count ~ Binomial(attempts, 0.5): stay within 5 sigma
         sigma = 0.5 * math.sqrt(attempts)
         assert abs(eng.flips - 0.5 * attempts) < 5 * sigma
+
+    def test_flip_count_equals_changed_spins(self):
+        eng = Engine(DIMS, [1.5, 2.3, 4.0], seed=16, init="random")
+        eng.sweep()
+        before = [eng.lattice(s) for s in range(eng.n_sim)]
+        flips = eng.flips
+        eng.sweep()
+        # each spin is tried once per sweep, so a flip is a changed spin
+        changed = sum(int((eng.lattice(s) != before[s]).sum()) for s in range(eng.n_sim))
+        assert eng.flips - flips == changed > 0
+
+    def test_one_draw_block_per_phase(self, monkeypatch):
+        # perfbench/tracer.py times unit_block by name and divides by sweeps
+        sizes = []
+        unit_block = XoshiroStreams.unit_block
+
+        def counted(self, count):
+            block = unit_block(self, count)
+            sizes.append(block.size)
+            return block
+
+        monkeypatch.setattr(XoshiroStreams, "unit_block", counted)
+        eng = Engine(DIMS, [2.0, 2.5], seed=17, init="random")
+        eng.sweep()
+        assert len(sizes) == 2
+        assert sum(sizes) == DIMS.sites * eng.n_sim
 
     def test_ground_state_frozen_at_low_temperature(self):
         eng = Engine(DIMS, [1e-6], seed=5, init="all-up")

@@ -21,7 +21,9 @@ from multispin.rng import (
     runs_test,
     shape_unit_float,
     stream_state,
+    stream_states,
 )
+from multispin.engine import _INIT_STREAM_BASE
 
 # --- independent scalar oracle (published recurrences, fresh code) ----------
 
@@ -126,17 +128,22 @@ class TestStreamSet:
             gen = Xoshiro256pp(2024, stream=j)
             assert block[:, j].tolist() == [gen.next_raw64() for _ in range(6)]
 
-    def test_python_and_numpy_paths_identical(self):
-        # 7 streams run the python-int loop and 40 the uint64-array loop; the
-        # shared columns must agree, and stay in lockstep over a second block.
-        assert 7 <= XoshiroStreams._PYTHON_MAX_STREAMS < 40
-        wide = XoshiroStreams(99, 40)
-        narrow = [XoshiroStreams(99, 7), XoshiroStreams(99, 7, first_stream=30)]
-        for count in (40, 3):
-            blk_np = wide.raw_block(count)
-            blk_py = [streams.raw_block(count) for streams in narrow]
-            assert (blk_py[0] == blk_np[:, :7]).all()
-            assert (blk_py[1] == blk_np[:, 30:37]).all()
+    @pytest.mark.parametrize("master_seed", [0, (1 << 64) - 1])
+    @pytest.mark.parametrize("first_stream", [0, _INIT_STREAM_BASE])
+    def test_stream_states_match_stream_state(self, master_seed, first_stream):
+        states = stream_states(master_seed, first_stream, 64)
+        assert states.shape == (4, 64) and states.dtype == np.uint64
+        for j in range(64):
+            assert states[:, j].tolist() == stream_state(master_seed, first_stream + j)
+
+    @pytest.mark.parametrize("n_streams", [1, 7, 40])
+    def test_columns_match_scalar_streams_over_blocks(self, n_streams):
+        streams = XoshiroStreams(99, n_streams, first_stream=5)
+        blocks = [streams.raw_block(count) for count in (40, 3)]
+        for j in range(n_streams):
+            gen = Xoshiro256pp(99, stream=5 + j)
+            for block in blocks:
+                assert block[:, j].tolist() == gen.raw64(block.shape[0]).tolist()
 
     def test_offset_slices_reproduce_full_run(self):
         full = XoshiroStreams(13, 6).unit_block(5)
