@@ -121,30 +121,20 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-_INT_KEYS = {"m", "n", "sweeps", "measure_interval", "n_sim", "seed", "threads", "warmup"}
-_FLOAT_KEYS = {"j", "tolerance", "disordered_cap"}
-
-
 def build_config(args: argparse.Namespace) -> SimConfig:
     """Merge defaults, config file, environment, and flags (flags win)."""
     cfg = SimConfig()
-    known = {f.name for f in fields(SimConfig)}
+    kinds = {f.name: type(f.default) for f in fields(SimConfig)}
     if getattr(args, "config", None):
         for key, value in parse_config_file(args.config).items():
-            if key not in known:
+            if key not in kinds:
                 raise ValueError(f"unknown config key {key!r}")
-            if key == "temperature":
-                cfg.temperature = parse_temperatures(value)
-            elif key in _INT_KEYS:
-                setattr(cfg, key, int(value))
-            elif key in _FLOAT_KEYS:
-                setattr(cfg, key, float(value))
-            else:
-                setattr(cfg, key, value)
+            kind = parse_temperatures if key == "temperature" else kinds[key]
+            setattr(cfg, key, kind(value))
     env_threads = os.environ.get(ENV_THREADS)
     if env_threads:
         cfg.threads = int(env_threads)
-    for key in known:
+    for key in kinds:
         value = getattr(args, key, None)
         if value is None:
             continue

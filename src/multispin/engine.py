@@ -7,11 +7,12 @@ four blue quarter-flips and the blue copies.  Within a phase, cells only
 read the opposite color, so everything updates in lockstep with no ordering
 hazards; boundary copies move data between adjacent cell columns only.
 
-Flip randomness comes from one xoshiro stream per (simulation, cell, word).
-Each stream draws once per spin of its word in a fixed order -- quarter, bit
-offset i, field ii -- so runs are bit-identical no matter how simulations are
-partitioned across threads, and a recorder can key every draw to the one
-spin it gated.
+All randomness comes from one xoshiro stream per (simulation, cell, word).
+A random start takes the first two outputs of each stream as the initial
+bits of that (cell, word) in all eight arrays; after that each stream draws
+once per spin of its word in a fixed order -- quarter, bit offset i, field
+ii -- so runs are bit-identical no matter how simulations are partitioned
+across threads, and a recorder can key every draw to the one spin it gated.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .lattice import (
     unpack,
 )
 from .observables import Trajectory
-from .rng import Xoshiro256pp, XoshiroStreams
+from .rng import XoshiroStreams
 
 __all__ = [
     "FLIP_RED",
@@ -70,11 +71,10 @@ FLIP_BLUE = (
 _RED_BOUNDARY = tuple((q[0], BOUNDARY_RULES[q[0]]) for q in FLIP_RED)
 _BLUE_BOUNDARY = tuple((q[0], BOUNDARY_RULES[q[0]]) for q in FLIP_BLUE)
 
-# Flip stream of (sim, cell, word): ((sim_offset+sim)*cells + cell-1)*words + word-1;
-# initial-state streams live far above so the two can never collide.
-_INIT_STREAM_BASE = 1 << 48
+# Stream of (sim, cell, word): ((sim_offset+sim)*cells + cell-1)*words + word-1.
 _DRAW_SCALE = 1 << 23  # a draw is k / _DRAW_SCALE, k an integer in [0, _DRAW_SCALE)
 _FIELDS = np.array([0, 4, 8, 12], dtype=np.uint16).reshape(4, 1, 1, 1)  # nibble field offsets
+_PARTS = np.array([0, 16, 32, 48], dtype=np.uint64).reshape(4, 1)  # 16-bit parts of an output
 
 
 def build_exp_table(T: float, J: float = 1.0) -> np.ndarray:
@@ -150,23 +150,34 @@ def refresh_boundaries(packed: PackedArrays) -> PackedArrays:
     return packed
 
 
+def _nibble_codes(state: np.ndarray, target: ArrayCode, lateral: ArrayCode,
+                  vertical: ArrayCode, up: bool, right: bool):
+    """Yield ``(i, codes)`` for the bit offsets i = 0..3 of one quarter-flip.
+
+    ``state`` is a (n_sim, 8, cells+2, words+2) array with current halos;
+    ``codes[f, sim, cell-1, word-1]`` is ``8*own_bit + neighbor_up_count`` of
+    bit ``4*f + i`` of the target word.  One shift, one add4 and four
+    compacts per quarter; the target must not change until the last yield.
+    """
+    neighbors = get_neighbors(state[:, lateral.index], state[:, vertical.index], up, right)
+    ones, twos, fours = bitwise_add4(*neighbors)
+    interior = state[:, target.index, 1:-1, 1:-1]
+    for i in range(4):
+        yield i, (nibble_compact(ones, twos, fours, interior, i) >> _FIELDS) & 0xF
+
+
 def neighbor_codes(packed: PackedArrays) -> np.ndarray:
-    """Per-spin 4-bit acceptance codes via the word-level nibble path.
+    """Per-spin 4-bit acceptance codes via the flips' own nibble path.
 
     Requires current halos.  Returns a flat array over linear spin indices
     holding ``8*own_bit + neighbor_up_count`` for every site, for auditing
     against a plain-lattice count.
     """
-    dims = packed.dims
-    table = spin_index_table(dims)
-    out = np.empty(dims.sites, dtype=np.uint8)
-    for target, lateral, vertical, up, right in FLIP_RED + FLIP_BLUE:
-        neighbors = get_neighbors(packed.matrix(lateral), packed.matrix(vertical), up, right)
-        ones, twos, fours = bitwise_add4(*neighbors)
-        interior = packed.interior(target)
-        for i in range(4):
-            ssum = nibble_compact(ones, twos, fours, interior, i)
-            out[table[target.index, i::4]] = (ssum >> _FIELDS[:, 0]) & 0xF
+    table = spin_index_table(packed.dims)
+    out = np.empty(packed.dims.sites, dtype=np.uint8)
+    for quarter in FLIP_RED + FLIP_BLUE:
+        for i, codes in _nibble_codes(packed.words[None], *quarter):
+            out[table[quarter[0].index, i::4]] = codes[:, 0]
     return out
 
 
@@ -228,8 +239,9 @@ class Engine:
     seed : int
         Master seed; all stream states derive from it deterministically.
     init : "random" | "all-up"
-        Initial spin configuration (random is drawn per simulation from
-        dedicated streams, so it does not disturb the flip streams).
+        Initial spin configuration.  A random start takes the first two
+        outputs of every flip stream, so flips draw from the third output
+        on; an all-up start leaves the streams untouched.
     coupling : float
         Ferromagnetic coupling J.
     sim_offset : int
@@ -262,8 +274,16 @@ class Engine:
         self.streams = XoshiroStreams(self.seed, self.n_sim * dims.cells * dims.words,
                                       first_stream=self.sim_offset * dims.cells * dims.words)
         self.state = np.zeros((self.n_sim, len(ALL_CODES), dims.cols, dims.vec_len), np.uint16)
-        for s in range(self.n_sim):
-            self.state[s] = pack(self._initial_lattice(s)).words
+        interior = self.state[:, :, 1:-1, 1:-1]
+        if init == "all-up":
+            interior[...] = 0xFFFF
+        elif init == "random":
+            # Array ALL_CODES[a] takes 16-bit part a % 4 (low first) of output a // 4.
+            parts = (self.streams.raw_block(2)[:, None] >> _PARTS).astype(np.uint16)
+            interior[...] = np.moveaxis(
+                parts.reshape(len(ALL_CODES), self.n_sim, dims.cells, dims.words), 0, 1)
+        else:
+            raise ValueError(f"unknown init mode {init!r} (expected 'random' or 'all-up')")
 
         self.sweeps_done = 0
         self.attempts = 0
@@ -272,16 +292,6 @@ class Engine:
 
         self.update_red_bc()
         self.update_blue_bc()
-
-    def _initial_lattice(self, sim: int) -> np.ndarray:
-        dims = self.dims
-        if self.init == "all-up":
-            return np.ones((dims.m, dims.n), dtype=np.int8)
-        if self.init == "random":
-            gen = Xoshiro256pp(self.seed, _INIT_STREAM_BASE + self.sim_offset + sim)
-            bits = gen.bits(dims.sites).astype(np.int8)
-            return (2 * bits - 1).reshape(dims.m, dims.n)
-        raise ValueError(f"unknown init mode {self.init!r} (expected 'random' or 'all-up')")
 
     @classmethod
     def from_lattices(cls, lattices, temperatures, seed: int, coupling: float = 1.0,
@@ -315,16 +325,11 @@ class Engine:
 
     def _flip_quarter(self, target: ArrayCode, lateral: ArrayCode, vertical: ArrayCode,
                       up: bool, right: bool, draws: np.ndarray, limits: np.ndarray) -> None:
-        st = self.state
-        s_r, s_l, s_t, s_b = get_neighbors(st[:, lateral.index], st[:, vertical.index], up, right)
-        ones, twos, fours = bitwise_add4(s_r, s_l, s_t, s_b)
-        interior = st[:, target.index, 1:-1, 1:-1]
+        interior = self.state[:, target.index, 1:-1, 1:-1]
         # Every lane reads only the opposite color and its own pre-quarter
         # bit, so the accepted flips of all 16 lanes apply at once.
         flipped = np.zeros_like(interior)
-        for i in range(4):
-            ssum = nibble_compact(ones, twos, fours, interior, i)
-            codes = (ssum >> _FIELDS) & 0xF
+        for i, codes in _nibble_codes(self.state, target, lateral, vertical, up, right):
             k = draws[4 * i : 4 * i + 4]
             if self.recorder is not None:
                 for ii, r in enumerate(k / _DRAW_SCALE):
@@ -379,10 +384,10 @@ class Engine:
         """Per-simulation bond energy per spin, each bond counted once."""
         out = np.empty(self.n_sim)
         for s in range(self.n_sim):
-            spins = self.lattice(s).astype(np.int64)
-            bonds = (spins * np.roll(spins, -1, axis=0)).sum() + (
+            spins = self.lattice(s)
+            bonds = (spins * np.roll(spins, -1, axis=0)).sum(dtype=np.int64) + (
                 spins * np.roll(spins, -1, axis=1)
-            ).sum()
+            ).sum(dtype=np.int64)
             out[s] = -self.coupling * bonds / self.dims.sites
         return out
 

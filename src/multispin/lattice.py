@@ -180,11 +180,9 @@ def unclassify(coord: SpinCoord, dims: LatticeDims) -> int:
     code, cell, word, bit = coord
     if not (1 <= cell <= dims.cells and 1 <= word <= dims.words and 0 <= bit < WORD_BITS):
         raise IndexError(f"{coord} is not an interior coordinate of a {dims.m}x{dims.n} lattice")
-    p0 = 0 if code.even else 1
-    cpar = p0 if code.red else 1 - p0
-    c = 2 * (cell - 1) + cpar if code.forward else dims.m - 2 * cell + cpar
-    r = ROWS_PER_WORD * (word - 1) + SPIN_STRIDE * bit + p0
-    return c * dims.n + r
+    c = lattice_columns(code, dims)[cell - 1]
+    r = lattice_rows(code, dims)[WORD_BITS * (word - 1) + bit]
+    return int(c) * dims.n + int(r)
 
 
 def lattice_columns(code: ArrayCode, dims: LatticeDims) -> np.ndarray:
@@ -364,11 +362,6 @@ def spin_index_table(dims: LatticeDims) -> np.ndarray:
     table = np.empty((len(ALL_CODES), WORD_BITS, dims.cells, dims.words), dtype=np.int64)
     for code in ALL_CODES:
         cols = lattice_columns(code, dims)
-        p0 = 0 if code.even else 1
-        rows = (
-            ROWS_PER_WORD * np.arange(dims.words)[None, :]
-            + SPIN_STRIDE * np.arange(WORD_BITS)[:, None]
-            + p0
-        )
+        rows = lattice_rows(code, dims).reshape(dims.words, WORD_BITS).T
         table[code.index] = cols[None, :, None] * dims.n + rows[:, None, :]
     return table

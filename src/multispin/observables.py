@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 MIN_EQUILIBRATION_SAMPLES = 20  # shortest series detect_equilibration accepts
+_EQUILIBRATION_ORIGINS = 10  # candidate origins detect_equilibration tries, at most
 
 
 @dataclass
@@ -86,7 +87,7 @@ def statistical_inefficiency(series) -> float:
     return max(1.0, g)
 
 
-def detect_equilibration(series, n_origins: int = 10) -> tuple[int, float, float]:
+def detect_equilibration(series) -> tuple[int, float, float]:
     """Origin that maximizes the effective sample count of the tail.
 
     Candidate origins sit on a geometric grid over the first three quarters
@@ -100,7 +101,7 @@ def detect_equilibration(series, n_origins: int = 10) -> tuple[int, float, float
     if a.std() == 0.0:
         return 0, 1.0, float(a.size)
     upper = max(1, (3 * a.size) // 4)
-    grid = np.unique(np.geomspace(1, upper, n_origins - 1).astype(int))
+    grid = np.unique(np.geomspace(1, upper, _EQUILIBRATION_ORIGINS - 1).astype(int))
     candidates = [0] + [int(t) for t in grid if a.size - t >= 10]
     best = (-1.0, 0, 1.0)
     for t0 in candidates:

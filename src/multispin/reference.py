@@ -109,7 +109,7 @@ def checkerboard_sweep_plain(
     return spins
 
 
-def neighbor_sum_brute(spins: np.ndarray, idx: int, J: float = 1.0) -> int:
+def neighbor_sum_brute(spins: np.ndarray, idx: int) -> int:
     """Sum of the four periodic neighbors' spin values at one site."""
     dims = check_spins(spins)
     flat = spins.reshape(-1)

@@ -85,6 +85,20 @@ class TestConfigFile:
         cfg = build_config(args)
         assert cfg.threads == 1 and cfg.effective_threads() == 1
 
+    def test_values_take_the_field_types(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(ENV_THREADS, raising=False)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("j = 1\nwarmup = 3\ntolerance = 0.05\ninit = all-up\nn_sim = 2\n")
+        built = build_config(build_parser().parse_args(["simulate", "--config", str(cfg)]))
+        assert (built.j, built.warmup, built.tolerance, built.init, built.n_sim) == (
+            1.0, 3, 0.05, "all-up", 2)
+        assert [type(v) for v in (built.j, built.warmup, built.tolerance, built.init,
+                                  built.n_sim)] == [float, int, float, str, int]
+        cfg.write_text("m = 12\nn = 96\nsweeps = 1.5\n")
+        assert run_cli("simulate", "--config", str(cfg)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "1.5" in captured.err
+
     def test_malformed_line_reports_location(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("m 12\n")

@@ -10,6 +10,7 @@ from multispin.engine import (
     FLIP_RED,
     Engine,
     _draw_limits,
+    _nibble_codes,
     build_exp_table,
     get_neighbors,
     neighbor_codes,
@@ -22,9 +23,10 @@ from multispin.lattice import (
     LatticeDims,
     classify,
     neighbor_indices,
+    spin_index_table,
 )
 from multispin.reference import energy, neighbor_code_brute
-from multispin.rng import XoshiroStreams
+from multispin.rng import Xoshiro256pp, XoshiroStreams
 
 DIMS = LatticeDims(12, 96)
 
@@ -160,6 +162,21 @@ class TestNeighborCodes:
         spins = random_spins(dims, 3)
         eng = Engine.from_lattices([spins], [2.0], seed=9)
         assert (neighbor_codes(eng.packed(0)) == neighbor_code_brute(spins)).all()
+
+    def test_flip_path_codes_match_brute_force_per_simulation(self):
+        eng = Engine(DIMS, [1.5, 2.3, 4.0], seed=21)
+        for _ in range(3):
+            eng.sweep()
+        table = spin_index_table(DIMS)
+        brute = [neighbor_code_brute(eng.lattice(s)) for s in range(eng.n_sim)]
+        for quarter in FLIP_RED + FLIP_BLUE:
+            seen = []
+            for i, codes in _nibble_codes(eng.state, *quarter):
+                seen.append(i)
+                assert codes.shape == (4, eng.n_sim, DIMS.cells, DIMS.words)
+                for s in range(eng.n_sim):
+                    assert (codes[:, s] == brute[s][table[quarter[0].index, i::4]]).all()
+            assert seen == [0, 1, 2, 3]
 
 
 class TestBoundaryUpdates:
@@ -334,6 +351,27 @@ class TestSweepAndRun:
     def test_all_up_init(self):
         eng = Engine(DIMS, [2.0], seed=14, init="all-up")
         assert (eng.lattice(0) == 1).all()
+
+    def test_random_init_takes_first_two_stream_outputs(self):
+        seed, offset = 31, 3
+        eng = Engine(DIMS, [2.0, 2.5], seed, init="random", sim_offset=offset)
+        cells, words = DIMS.cells, DIMS.words
+        for s in range(eng.n_sim):
+            for cell in range(1, cells + 1):
+                for word in range(1, words + 1):
+                    stream = ((offset + s) * cells + cell - 1) * words + word - 1
+                    raw = Xoshiro256pp(seed, stream).raw64(2)
+                    for a in range(len(ALL_CODES)):
+                        want = int(raw[a // 4]) >> (16 * (a % 4)) & 0xFFFF
+                        assert int(eng.state[s, a, cell, word]) == want
+        assert eng.halo_mismatches() == 0
+
+    @pytest.mark.parametrize("init, ahead", [("random", 2), ("all-up", 0)])
+    def test_init_advances_streams(self, init, ahead):
+        eng = Engine(DIMS, [2.0, 2.5], seed=32, init=init, sim_offset=1)
+        fresh = XoshiroStreams(32, eng.streams.n_streams, first_stream=eng.streams.first_stream)
+        fresh.raw_block(ahead)
+        assert (eng.streams.raw_block(1) == fresh.raw_block(1)).all()
 
     def test_bad_init_rejected(self):
         with pytest.raises(ValueError):
