@@ -146,6 +146,10 @@ def build_config(args: argparse.Namespace) -> SimConfig:
         raise ValueError("measure interval must be positive")
     if cfg.threads < 1:
         raise ValueError(f"threads must be at least 1, got {cfg.threads}")
+    if cfg.n_sim < 1:
+        raise ValueError(f"n_sim must be at least 1, got {cfg.n_sim}")
+    if not cfg.temperature:
+        raise ValueError("need at least one temperature")
     if not all(math.isfinite(t) and t > 0 for t in cfg.temperature):
         raise ValueError(f"temperatures must be finite and positive, got {cfg.temperature}")
     if not math.isfinite(cfg.j):

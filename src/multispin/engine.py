@@ -30,10 +30,10 @@ from .lattice import (
     ArrayCode,
     LatticeDims,
     PackedArrays,
+    array_view,
     canonical_halo_source,
     check_spins,
     pack,
-    spin_index_table,
     unpack,
 )
 from .observables import Trajectory
@@ -173,25 +173,12 @@ def neighbor_codes(packed: PackedArrays) -> np.ndarray:
     holding ``8*own_bit + neighbor_up_count`` for every site, for auditing
     against a plain-lattice count.
     """
-    table = spin_index_table(packed.dims)
-    out = np.empty(packed.dims.sites, dtype=np.uint8)
+    out = np.empty((packed.dims.m, packed.dims.n), dtype=np.uint8)
     for quarter in FLIP_RED + FLIP_BLUE:
+        lanes = array_view(out, quarter[0])
         for i, codes in _nibble_codes(packed.words[None], *quarter):
-            out[table[quarter[0].index, i::4]] = codes[:, 0]
-    return out
-
-
-_POP16_TABLE: np.ndarray | None = None
-
-
-def _pop16() -> np.ndarray:
-    global _POP16_TABLE
-    if _POP16_TABLE is None:
-        values = np.arange(1 << 16, dtype=np.uint16)
-        _POP16_TABLE = (
-            np.unpackbits(values.astype(">u2").view(np.uint8)).reshape(-1, 16).sum(axis=1)
-        ).astype(np.uint8)
-    return _POP16_TABLE
+            lanes[..., i::4] = np.moveaxis(codes[:, 0], 0, -1)
+    return out.reshape(-1)
 
 
 class _HaloAudit:
@@ -269,8 +256,9 @@ class Engine:
         self.sim_offset = int(sim_offset)
         self.init = init
 
-        self._tables = np.stack([build_exp_table(t, coupling) for t in self.temperatures])
-        self._table_base = 16 * np.arange(self.n_sim)[:, None, None]  # row offsets in _tables
+        self._limits = _draw_limits(
+            np.stack([build_exp_table(t, coupling) for t in self.temperatures])).ravel()
+        self._table_base = 16 * np.arange(self.n_sim)[:, None, None]  # row offsets in _limits
         self.streams = XoshiroStreams(self.seed, self.n_sim * dims.cells * dims.words,
                                       first_stream=self.sim_offset * dims.cells * dims.words)
         self.state = np.zeros((self.n_sim, len(ALL_CODES), dims.cols, dims.vec_len), np.uint16)
@@ -324,7 +312,7 @@ class Engine:
     # -- flips ----------------------------------------------------------------
 
     def _flip_quarter(self, target: ArrayCode, lateral: ArrayCode, vertical: ArrayCode,
-                      up: bool, right: bool, draws: np.ndarray, limits: np.ndarray) -> None:
+                      up: bool, right: bool, draws: np.ndarray) -> None:
         interior = self.state[:, target.index, 1:-1, 1:-1]
         # Every lane reads only the opposite color and its own pre-quarter
         # bit, so the accepted flips of all 16 lanes apply at once.
@@ -334,19 +322,18 @@ class Engine:
             if self.recorder is not None:
                 for ii, r in enumerate(k / _DRAW_SCALE):
                     self.recorder.record(self.sweeps_done, target, 4 * ii + i, r)
-            accepted = (k < limits[codes + self._table_base]).astype(np.uint16)
+            accepted = (k < self._limits[codes + self._table_base]).astype(np.uint16)
             flipped |= np.bitwise_or.reduce(accepted << (_FIELDS + np.uint16(i)), axis=0)
         interior ^= flipped
-        self.flips += int(_pop16()[flipped].sum(dtype=np.int64))
+        self.flips += int(np.bitwise_count(flipped).sum(dtype=np.int64))
 
     def _flip_phase(self, quarters) -> None:
         block = self.streams.unit_block(len(quarters) * 16)
         # Row 16*q + 4*i + ii of the block gates bit 4*ii + i of quarter q;
         # column (sim*cells + cell-1)*words + word-1 is that word's stream.
         draws = block.reshape(len(quarters), 16, self.n_sim, self.dims.cells, self.dims.words)
-        limits = _draw_limits(self._tables).ravel()
         for q, (target, lateral, vertical, up, right) in enumerate(quarters):
-            self._flip_quarter(target, lateral, vertical, up, right, draws[q], limits)
+            self._flip_quarter(target, lateral, vertical, up, right, draws[q])
 
     def flip_red(self) -> None:
         """Attempt every red spin once (blue halos must be current)."""
@@ -377,7 +364,7 @@ class Engine:
 
     def abs_magnetization(self) -> np.ndarray:
         """Per-simulation |M| from interior popcounts (exact)."""
-        ups = _pop16()[self.state[:, :, 1:-1, 1:-1]].sum(axis=(1, 2, 3), dtype=np.int64)
+        ups = np.bitwise_count(self.state[:, :, 1:-1, 1:-1]).sum(axis=(1, 2, 3), dtype=np.int64)
         return np.abs(2.0 * ups / self.dims.sites - 1.0)
 
     def energy_per_spin(self) -> np.ndarray:

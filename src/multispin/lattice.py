@@ -6,7 +6,10 @@ split is by checkerboard color (Red/Blue), row parity (Even/Odd), and fold
 direction: columns c < m/2 keep their order (Forward) while the right half
 is reversed (Backward) so that both periodic edges end up on adjacent cell
 columns.  Same-parity rows of one lattice column pack 16 to a word, least
-significant bit lowest; bit 1 encodes spin +1.
+significant bit lowest; bit 1 encodes spin +1.  Each array's sites are
+therefore a fixed stride pattern of the lattice, and ``array_view`` states
+it once as a strided (cells, words, 16) view that packing, unpacking, the
+neighbor audit and the draw recorder all read the layout from.
 
 Every matrix is expanded by one cell column on each side (the moats) and one
 word at each end of every column (the halo words), so stencil reads never
@@ -35,15 +38,13 @@ __all__ = [
     "BOUNDARY_RULES",
     "classify",
     "unclassify",
+    "array_view",
     "pack",
     "unpack",
     "check_spins",
     "canonical_halo_source",
     "onsager_magnetization",
     "neighbor_indices",
-    "lattice_columns",
-    "lattice_rows",
-    "spin_index_table",
 ]
 
 # Exact critical temperature of the square-lattice Ising model, 2/asinh(1).
@@ -180,27 +181,29 @@ def unclassify(coord: SpinCoord, dims: LatticeDims) -> int:
     code, cell, word, bit = coord
     if not (1 <= cell <= dims.cells and 1 <= word <= dims.words and 0 <= bit < WORD_BITS):
         raise IndexError(f"{coord} is not an interior coordinate of a {dims.m}x{dims.n} lattice")
-    c = lattice_columns(code, dims)[cell - 1]
-    r = lattice_rows(code, dims)[WORD_BITS * (word - 1) + bit]
-    return int(c) * dims.n + int(r)
+    sites = np.arange(dims.sites).reshape(dims.m, dims.n)
+    return int(array_view(sites, code)[cell - 1, word - 1, bit])
 
 
-def lattice_columns(code: ArrayCode, dims: LatticeDims) -> np.ndarray:
-    """Lattice columns held by worker cells 1..cells of one array, in cell order."""
-    p0 = 0 if code.even else 1
-    cpar = p0 if code.red else 1 - p0
-    if code.forward:
-        return 2 * np.arange(dims.cells) + cpar
-    return dims.m - 2 * np.arange(1, dims.cells + 1) + cpar
+def array_view(grid: np.ndarray, code: ArrayCode) -> np.ndarray:
+    """The sites of one array in a (..., m, n) grid, in packed order.
 
-
-def lattice_rows(code: ArrayCode, dims: LatticeDims) -> np.ndarray:
-    """Lattice rows of one array in packed order (word-major, bit-minor)."""
-    p0 = 0 if code.even else 1
-    return p0 + SPIN_STRIDE * np.arange(WORD_BITS * dims.words)
-
-
-_BIT_TAPS = (np.uint16(1) << np.arange(WORD_BITS, dtype=np.uint16)).astype(np.uint16)
+    Returns the (..., cells, words, 16) view whose entry ``[g-1, w-1, t]``
+    is the site of bit t of word w in cell g.  Cell g holds lattice column
+    pair g-1 (Forward) or m/2-g (Backward) and takes the column of its
+    color's parity; word w holds the 16 rows of the array's parity from
+    row 32*(w-1) up.  The grid is read as ``[c//2, c%2, r//2, r%2]``, so
+    the result is a strided view of a contiguous grid (writes land in it)
+    and a copy of any other.
+    """
+    *lead, m, n = grid.shape
+    dims = LatticeDims(m, n)
+    pairs = grid.reshape(*lead, m // 2, 2, n // 2, 2)
+    cells = slice(dims.cells) if code.forward else slice(None, dims.cells - 1, -1)
+    row_parity = 0 if code.even else 1
+    col_parity = row_parity if code.red else 1 - row_parity
+    sub = pairs[..., cells, col_parity, :, row_parity]
+    return sub.reshape(*lead, dims.cells, dims.words, WORD_BITS)
 
 
 class PackedArrays:
@@ -249,12 +252,8 @@ def pack(spins: np.ndarray) -> PackedArrays:
     dims = check_spins(spins)
     packed = PackedArrays(dims)
     for code in ALL_CODES:
-        sub = spins[np.ix_(lattice_columns(code, dims), lattice_rows(code, dims))]
-        bits = (sub > 0).reshape(dims.cells, dims.words, WORD_BITS)
-        words = np.bitwise_or.reduce(
-            np.where(bits, _BIT_TAPS, np.uint16(0)), axis=-1
-        )
-        packed.words[code.index, 1:-1, 1:-1] = words
+        bits = np.packbits(array_view(spins, code) > 0, axis=-1, bitorder="little")
+        packed.interior(code)[...] = bits.view("<u2")[..., 0]
     return packed
 
 
@@ -263,11 +262,11 @@ def unpack(packed: PackedArrays) -> np.ndarray:
     dims = packed.dims
     spins = np.empty((dims.m, dims.n), dtype=np.int8)
     for code in ALL_CODES:
-        bits = (packed.interior(code)[..., None] & _BIT_TAPS) != 0
-        sub = np.where(bits, 1, -1).astype(np.int8)
-        spins[np.ix_(lattice_columns(code, dims), lattice_rows(code, dims))] = sub.reshape(
-            dims.cells, dims.words * WORD_BITS
-        )
+        octets = packed.interior(code).astype("<u2", copy=False).view(np.uint8)
+        bits = np.unpackbits(octets, axis=-1, bitorder="little")
+        array_view(spins, code)[...] = bits.reshape(dims.cells, dims.words, WORD_BITS)
+    spins *= 2
+    spins -= 1
     return spins
 
 
@@ -351,17 +350,3 @@ def neighbor_indices(idx: int, dims: LatticeDims) -> tuple[int, int, int, int]:
         c * n + (r + 1) % n,
         c * n + (r - 1) % n,
     )
-
-
-def spin_index_table(dims: LatticeDims) -> np.ndarray:
-    """Linear spin index of every packed bit.
-
-    Returns an int64 array of shape (8, 16, cells, words) where entry
-    ``[code.index, t, g-1, w-1]`` is ``unclassify((code, g, w, t))``.
-    """
-    table = np.empty((len(ALL_CODES), WORD_BITS, dims.cells, dims.words), dtype=np.int64)
-    for code in ALL_CODES:
-        cols = lattice_columns(code, dims)
-        rows = lattice_rows(code, dims).reshape(dims.words, WORD_BITS).T
-        table[code.index] = cols[None, :, None] * dims.n + rows[:, None, :]
-    return table

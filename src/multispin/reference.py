@@ -14,11 +14,12 @@ import math
 import numpy as np
 
 from .lattice import (
+    ALL_CODES,
     LatticeDims,
     ArrayCode,
+    array_view,
     check_spins,
     neighbor_indices,
-    spin_index_table,
 )
 
 __all__ = [
@@ -177,16 +178,15 @@ class RandomMap:
 
 
 class _MapRecorder:
-    """Engine hook scattering each draw block onto the gated spins."""
+    """Engine hook writing each draw block onto the gated spins."""
 
     def __init__(self, random_map: RandomMap, base_sweep: int):
-        self._map = random_map
         self._base = base_sweep
-        self._table = spin_index_table(random_map.dims)
+        # One (sweeps, cells, words, 16) view of the whole map per array.
+        self._views = {code: array_view(random_map.draws, code) for code in ALL_CODES}
 
     def record(self, sweep: int, code: ArrayCode, bit: int, draws: np.ndarray) -> None:
-        layer = self._map.draws[sweep - self._base].reshape(-1)
-        layer[self._table[code.index, bit]] = draws[0]
+        self._views[code][sweep - self._base, ..., bit] = draws[0]
 
 
 def record_engine_randoms(engine, n_sweeps: int) -> RandomMap:

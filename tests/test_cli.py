@@ -161,6 +161,16 @@ class TestInputHardening:
         self.expect_rejected(capsys, "bench", "--m", "12", "--n", "96", "--sweeps", "0",
                              match="at least one timed sweep")
 
+    @pytest.mark.parametrize("command", ["simulate", "validate", "bench"])
+    def test_no_simulations(self, capsys, command):
+        self.expect_rejected(capsys, command, *SMALL, "--n-sim", "0",
+                             match="n_sim must be at least 1")
+
+    @pytest.mark.parametrize("command", ["simulate", "validate", "bench"])
+    def test_empty_temperature_list(self, capsys, command):
+        self.expect_rejected(capsys, command, *SMALL, "--temperature", ",",
+                             match="need at least one temperature")
+
     def test_bench_negative_warmup(self, capsys):
         self.expect_rejected(capsys, "bench", *SMALL, "--warmup", "-1",
                              match="warmup must be non-negative")

@@ -21,9 +21,9 @@ from multispin.lattice import (
     ArrayCode,
     TC_OVER_J,
     LatticeDims,
+    array_view,
     classify,
     neighbor_indices,
-    spin_index_table,
 )
 from multispin.reference import energy, neighbor_code_brute
 from multispin.rng import Xoshiro256pp, XoshiroStreams
@@ -167,15 +167,16 @@ class TestNeighborCodes:
         eng = Engine(DIMS, [1.5, 2.3, 4.0], seed=21)
         for _ in range(3):
             eng.sweep()
-        table = spin_index_table(DIMS)
-        brute = [neighbor_code_brute(eng.lattice(s)) for s in range(eng.n_sim)]
+        brute = [neighbor_code_brute(eng.lattice(s)).reshape(DIMS.m, DIMS.n)
+                 for s in range(eng.n_sim)]
         for quarter in FLIP_RED + FLIP_BLUE:
             seen = []
             for i, codes in _nibble_codes(eng.state, *quarter):
                 seen.append(i)
                 assert codes.shape == (4, eng.n_sim, DIMS.cells, DIMS.words)
                 for s in range(eng.n_sim):
-                    assert (codes[:, s] == brute[s][table[quarter[0].index, i::4]]).all()
+                    want = np.moveaxis(array_view(brute[s], quarter[0])[..., i::4], -1, 0)
+                    assert (codes[:, s] == want).all()
             assert seen == [0, 1, 2, 3]
 
 
@@ -219,7 +220,7 @@ class TestBoundaryUpdates:
 class TestFlips:
     def test_all_zero_table_freezes_state(self):
         eng = Engine.from_lattices([random_spins(DIMS, 10)], [2.0], seed=3)
-        eng._tables[:] = 0.0
+        eng._limits[:] = 0
         before = eng.state.copy()
         eng.sweep()
         assert (eng.state == before).all()
@@ -228,14 +229,14 @@ class TestFlips:
     def test_all_one_table_toggles_everything(self):
         spins = random_spins(DIMS, 11)
         eng = Engine.from_lattices([spins], [2.0], seed=3)
-        eng._tables[:] = 1.0
+        eng._limits[:] = 1 << 23
         eng.sweep()
         assert (eng.lattice(0) == -spins).all()
         assert eng.flips == DIMS.sites
 
     def test_constant_half_table_is_binomial(self):
         eng = Engine.from_lattices([random_spins(DIMS, 12)], [2.0], seed=4)
-        eng._tables[:] = 0.5
+        eng._limits[:] = 1 << 22
         sweeps = 50
         for _ in range(sweeps):
             eng.sweep()

@@ -11,14 +11,13 @@ from multispin.lattice import (
     SpinCoord,
     TC_OVER_J,
     WordCoord,
+    array_view,
     canonical_halo_source,
     check_spins,
     classify,
-    lattice_columns,
     neighbor_indices,
     onsager_magnetization,
     pack,
-    spin_index_table,
     unclassify,
     unpack,
 )
@@ -90,10 +89,9 @@ class TestClassify:
 
     def test_partition_over_arrays(self):
         # The 8 x cells x words x 16 coordinate space covers every site once.
-        dims = DIMS
-        covered = np.zeros(dims.sites, dtype=np.int32)
-        table = spin_index_table(dims)
-        np.add.at(covered, table.reshape(-1), 1)
+        covered = np.zeros((DIMS.m, DIMS.n), dtype=np.int32)
+        for code in ALL_CODES:
+            array_view(covered, code)[...] += 1
         assert (covered == 1).all()
 
     def test_neighbor_colors_alternate(self):
@@ -307,10 +305,30 @@ class TestOnsager:
             onsager_magnetization(-1.0)
 
 
-class TestColumnMaps:
-    def test_lattice_columns_match_classify(self):
+class TestArrayView:
+    @pytest.mark.parametrize("m,n", [(4, 32), (12, 96), (8, 64)])
+    def test_array_view_matches_classify(self, m, n):
+        # At 4x32 each array has one cell, so a Backward view is a
+        # one-cell reversed slice.
+        dims = LatticeDims(m, n)
+        sites = np.arange(dims.sites).reshape(m, n)
+        views = {code: array_view(sites, code) for code in ALL_CODES}
+        for idx in range(dims.sites):
+            code, cell, word, bit = classify(idx, dims)
+            assert views[code][cell - 1, word - 1, bit] == idx
+
+    def test_views_share_memory_with_grid(self):
+        grid = np.zeros((DIMS.m, DIMS.n), dtype=np.int8)
         for code in ALL_CODES:
-            cols = lattice_columns(code, DIMS)
-            for cell, c in enumerate(cols, start=1):
-                idx = unclassify(SpinCoord(code, cell, 1, 0), DIMS)
-                assert idx // DIMS.n == c
+            assert np.shares_memory(array_view(grid, code), grid), str(code)
+
+    def test_pack_reads_any_layout_and_dtype(self):
+        spins = random_spins(DIMS, 5)
+        want = pack(spins).words
+        for other in (np.asfortranarray(spins), spins.T.copy().T, spins.astype(np.int64)):
+            assert (pack(other).words == want).all()
+
+    @pytest.mark.parametrize("m,n", [(4, 1024), (1024, 32)])
+    def test_roundtrip_long_thin_lattices(self, m, n):
+        spins = random_spins(LatticeDims(m, n), 6)
+        assert (unpack(pack(spins)) == spins).all()
