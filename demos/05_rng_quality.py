@@ -3,11 +3,11 @@ Random-stream quality checks
 ============================
 
 The engine draws from one xoshiro256++ stream per (simulation, cell, word),
-shaping the top bits of each output into a unit-interval float by mantissa
-splicing (it compares the integer mantissa k against ceil(p * 2**23)).  This
-script runs the bit-stream battery on one stream, then examines the shaped
-floats for uniformity (frequency histogram) and independence (lag-1 joint
-distribution, median thresholding).
+shaping both 32-bit halves of each output, high half first, into unit-interval
+floats by mantissa splicing (it compares the integer mantissa k against
+ceil(p * 2**23)).  This script runs the bit-stream battery on one stream, then
+examines the shaped top-half floats for uniformity (frequency histogram) and
+independence (lag-1 joint distribution, median thresholding).
 """
 
 import numpy as np

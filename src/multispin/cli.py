@@ -6,8 +6,9 @@ same name, and flags always win.  ``--threads`` defaults to 1; the
 environment variable ``MULTISPIN_THREADS`` overrides the configured thread
 count (flags still beat it).  Input that cannot run (threads below 1, a
 temperature that is not finite and positive, a non-finite J, a validate
-run too short to analyse) exits 2 before any output.  Trajectories are
-written as CSV with the header
+run too short to analyse or with a tolerance or cap that is not finite and
+non-negative, an rngtest bit count below the battery's minimum) exits 2
+before any output.  Trajectories are written as CSV with the header
 ``sweep,sim,temperature,abs_magnetization,energy_per_spin``, floats printed
 with 9 significant digits, '.' decimals and plain newlines.
 """
@@ -33,6 +34,7 @@ from .reference import (
     record_engine_randoms,
 )
 from .rng import (
+    MIN_BATTERY_BITS,
     Xoshiro256pp,
     frequency_histogram,
     lag1_joint,
@@ -154,6 +156,10 @@ def build_config(args: argparse.Namespace) -> SimConfig:
         raise ValueError(f"temperatures must be finite and positive, got {cfg.temperature}")
     if not math.isfinite(cfg.j):
         raise ValueError(f"coupling j must be finite, got {cfg.j}")
+    for key in ("tolerance", "disordered_cap"):
+        value = getattr(cfg, key)
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{key} must be finite and non-negative, got {value}")
     return cfg
 
 
@@ -360,10 +366,19 @@ def _print_reports(reports, csv_rows) -> int:
 
 
 def cmd_rngtest(args: argparse.Namespace) -> int:
+    # --bits 0 with --file means "no truncation".
+    if args.bits < MIN_BATTERY_BITS and not (args.file and args.bits == 0):
+        raise ValueError(f"--bits must be at least {MIN_BATTERY_BITS} "
+                         f"(the longest-run test's minimum), got {args.bits}")
+    if args.floats < 0:
+        raise ValueError(f"--floats must be non-negative, got {args.floats}")
     csv_rows: list[str] = []
     failures = 0
     if args.file:
         bits = load_bitstream(args.file)
+        if bits.size < MIN_BATTERY_BITS:
+            raise ValueError(f"{args.file} holds {bits.size} bits; the battery needs at least "
+                             f"{MIN_BATTERY_BITS}")
         print(f"# bit stream from {args.file}: {bits.size} bits")
         if args.bits and bits.size > args.bits:
             bits = bits[: args.bits]

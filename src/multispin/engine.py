@@ -9,10 +9,11 @@ hazards; boundary copies move data between adjacent cell columns only.
 
 All randomness comes from one xoshiro stream per (simulation, cell, word).
 A random start takes the first two outputs of each stream as the initial
-bits of that (cell, word) in all eight arrays; after that each stream draws
-once per spin of its word in a fixed order -- quarter, bit offset i, field
-ii -- so runs are bit-identical no matter how simulations are partitioned
-across threads, and a recorder can key every draw to the one spin it gated.
+bits of that (cell, word) in all eight arrays; after that each output gives
+two draws, bits 32-54 then bits 0-22, and the stream's draws gate the spins
+of its word in a fixed order -- quarter, bit offset i, field ii -- so runs
+are bit-identical no matter how simulations are partitioned across threads,
+and a recorder can key every draw to the one spin it gated.
 """
 
 from __future__ import annotations
@@ -329,8 +330,9 @@ class Engine:
 
     def _flip_phase(self, quarters) -> None:
         block = self.streams.unit_block(len(quarters) * 16)
-        # Row 16*q + 4*i + ii of the block gates bit 4*ii + i of quarter q;
-        # column (sim*cells + cell-1)*words + word-1 is that word's stream.
+        # Row 16*q + 4*i + ii of the block gates bit 4*ii + i of quarter q; it is
+        # the high half of output 8*q + 2*i + ii//2 for even ii, the low half for
+        # odd ii.  Column (sim*cells + cell-1)*words + word-1 is that word's stream.
         draws = block.reshape(len(quarters), 16, self.n_sim, self.dims.cells, self.dims.words)
         for q, (target, lateral, vertical, up, right) in enumerate(quarters):
             self._flip_quarter(target, lateral, vertical, up, right, draws[q])

@@ -5,7 +5,8 @@ master seed plus a stream index gives an independent 256-bit state, so any
 number of cells can draw concurrently and reproducibly.  Unit floats are
 shaped from the top 32 bits of each output: the low 23 of those bits become
 the mantissa of a binary32 in [1, 2) and 1.0 is subtracted, yielding
-``k * 2**-23`` for k in [0, 2**23).
+``k * 2**-23`` for k in [0, 2**23).  The engine's draw blocks shape both
+32-bit halves of each output the same way, high half first.
 
 The quality battery implements the frequency (monobit), block-frequency,
 runs, longest-run-of-ones and cumulative-sums tests at significance 0.01,
@@ -23,6 +24,7 @@ from scipy.special import erfc, gammaincc, ndtr
 
 __all__ = [
     "ALPHA",
+    "MIN_BATTERY_BITS",
     "Xoshiro256pp",
     "XoshiroStreams",
     "stream_state",
@@ -44,6 +46,7 @@ __all__ = [
 ]
 
 ALPHA = 0.01
+MIN_BATTERY_BITS = 128  # the shortest stream run_battery accepts (longest-run test)
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4B7C15
@@ -105,14 +108,16 @@ def _step_ints(state: list, count: int) -> list:
     return out
 
 
-def _step_arrays(state: list, count: int) -> np.ndarray:
+def _step_arrays(state: list, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """(count, streams) outputs of many streams as uint64 arrays; advances ``state`` in place.
 
     ``state`` holds four uint64 arrays, one per state word; uint64 arithmetic
-    wraps modulo 2**64, so no masks are needed.
+    wraps modulo 2**64, so no masks are needed.  The outputs go into ``out``
+    when given (a (count, streams) uint64 array), else into a new array.
     """
     s0, s1, s2, s3 = state
-    out = np.empty((count, s0.size), dtype=np.uint64)
+    if out is None:
+        out = np.empty((count, s0.size), dtype=np.uint64)
     x, t = np.empty_like(s0), np.empty_like(s0)
     c23, c41, c17, c45, c19 = (np.uint64(k) for k in (23, 41, 17, 45, 19))
     for row in out:
@@ -182,6 +187,12 @@ class XoshiroStreams:
     sees the same draws no matter how many streams run beside it or how the
     streams are partitioned across workers.  A block row is one array step of
     every stream, so the numpy calls per block do not grow with the streams.
+
+    ``unit_block`` takes two draws from each output and writes them into a
+    step buffer and a draw buffer that the set keeps and reuses, so a draw
+    block touches no fresh pages: at 8192 streams, new arrays on every call
+    took about 990 minor page faults per call and more time than the halved
+    stepping saved.
     """
 
     def __init__(self, master_seed: int, n_streams: int, first_stream: int = 0):
@@ -191,14 +202,31 @@ class XoshiroStreams:
         self.n_streams = int(n_streams)
         self.first_stream = int(first_stream)
         self._s = list(stream_states(self.master_seed, self.first_stream, self.n_streams))
+        self._raw = np.empty((0, self.n_streams), dtype=np.uint64)  # unit_block step buffer
+        self._k = np.empty((0, 2, self.n_streams), dtype=np.uint32)  # unit_block draw buffer
 
     def raw_block(self, count: int) -> np.ndarray:
         """(count, n_streams) uint64 block; row k is every stream's k-th output."""
         return _step_arrays(self._s, count)
 
     def unit_block(self, count: int) -> np.ndarray:
-        """(count, n_streams) uint32 block of k; the draw is k * 2**-23, as in next_unit_float."""
-        return (self.raw_block(count) >> np.uint64(32)).astype(np.uint32) & np.uint32(_MANTISSA)
+        """(count, n_streams) uint32 block of k; the draw is k * 2**-23.
+
+        Each stream steps ``ceil(count / 2)`` times.  Row ``2r`` is bits 32-54
+        of output r (the draw ``next_unit_float`` makes) and row ``2r + 1`` is
+        bits 0-22 of the same output; an odd count drops the last low half.
+        The block lives in a reused buffer: it is valid until the next call.
+        """
+        rows = -(-count // 2)
+        if self._raw.shape[0] < rows:
+            self._raw = np.empty((rows, self.n_streams), dtype=np.uint64)
+            self._k = np.empty((rows, 2, self.n_streams), dtype=np.uint32)
+        raw = _step_arrays(self._s, rows, out=self._raw[:rows])
+        k = self._k[:rows]
+        np.right_shift(raw, np.uint64(32), out=k[:, 0], casting="unsafe")
+        np.copyto(k[:, 1], raw, casting="unsafe")
+        k &= np.uint32(_MANTISSA)
+        return k.reshape(2 * rows, self.n_streams)[:count]
 
 
 def shape_unit_float(raw32):
@@ -314,7 +342,7 @@ def _longest_run_per_block(blocks: np.ndarray) -> np.ndarray:
 
 def longest_run_test(bits) -> TestReport:
     """Longest run of ones in fixed-size blocks against tabulated frequencies."""
-    b = _as_bits(bits, 128, "longest run test")
+    b = _as_bits(bits, MIN_BATTERY_BITS, "longest run test")
     n = b.size
     for min_n, block_size, cats, pi in _LONGEST_RUN_TIERS:
         if n >= min_n:

@@ -175,6 +175,41 @@ class TestInputHardening:
         self.expect_rejected(capsys, "bench", *SMALL, "--warmup", "-1",
                              match="warmup must be non-negative")
 
+    @pytest.mark.parametrize("flag", ["--tolerance", "--disordered-cap"])
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_validate_bad_judging_bounds(self, capsys, flag, value):
+        self.expect_rejected(capsys, "validate", "--m", "12", "--n", "96", "--sweeps", "40",
+                             "--measure-interval", "1", flag, value,
+                             match="must be finite and non-negative")
+
+    @pytest.mark.parametrize("line", ["tolerance = nan", "disordered_cap = -1"])
+    def test_validate_bad_judging_bounds_config(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        self.expect_rejected(capsys, "validate", "--config", str(cfg), "--m", "12", "--n", "96",
+                             "--sweeps", "40", "--measure-interval", "1",
+                             match="must be finite and non-negative")
+
+    @pytest.mark.parametrize("bits", ["0", "127", "-5"])
+    def test_rngtest_too_few_bits(self, capsys, bits):
+        self.expect_rejected(capsys, "rngtest", "--bits", bits, match="at least 128")
+
+    def test_rngtest_too_few_bits_from_file(self, tmp_path, capsys):
+        path = tmp_path / "bits.txt"
+        path.write_text("01" * 200 + "\n")
+        self.expect_rejected(capsys, "rngtest", "--file", str(path), "--bits", "100",
+                             match="at least 128")
+
+    def test_rngtest_short_file(self, tmp_path, capsys):
+        path = tmp_path / "bits.txt"
+        path.write_text("01" * 50 + "\n")
+        self.expect_rejected(capsys, "rngtest", "--file", str(path), "--bits", "0",
+                             match="needs at least 128")
+
+    def test_rngtest_negative_floats(self, capsys):
+        self.expect_rejected(capsys, "rngtest", "--bits", "1000", "--floats", "-1",
+                             match="--floats must be non-negative")
+
 
 class TestSimulateCsv:
     def test_schema_and_row_count(self, tmp_path):

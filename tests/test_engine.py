@@ -25,7 +25,7 @@ from multispin.lattice import (
     classify,
     neighbor_indices,
 )
-from multispin.reference import energy, neighbor_code_brute
+from multispin.reference import energy, neighbor_code_brute, record_engine_randoms
 from multispin.rng import Xoshiro256pp, XoshiroStreams
 
 DIMS = LatticeDims(12, 96)
@@ -366,6 +366,25 @@ class TestSweepAndRun:
                         want = int(raw[a // 4]) >> (16 * (a % 4)) & 0xFFFF
                         assert int(eng.state[s, a, cell, word]) == want
         assert eng.halo_mismatches() == 0
+
+    def test_draws_gate_spins_in_stated_order(self):
+        # Bit b of quarter q's target word is gated by output
+        # 8q + 2(b % 4) + b // 8 of the phase: its high half when b // 4 is
+        # even, its low half when odd.
+        seed = 33
+        eng = Engine(DIMS, [2.0], seed, init="all-up")
+        recorded = record_engine_randoms(eng, 1).draws[0]
+        site_of = np.arange(DIMS.sites).reshape(DIMS.m, DIMS.n)
+        for cell in range(1, DIMS.cells + 1):
+            for word in range(1, DIMS.words + 1):
+                raw = Xoshiro256pp(seed, (cell - 1) * DIMS.words + word - 1).raw64(64)
+                for phase, quarters in enumerate((FLIP_RED, FLIP_BLUE)):
+                    for q, quarter in enumerate(quarters):
+                        sites = array_view(site_of, quarter[0])[cell - 1, word - 1]
+                        for b in range(16):
+                            out = int(raw[32 * phase + 8 * q + 2 * (b % 4) + b // 8])
+                            k = (out >> 32 if b // 4 % 2 == 0 else out) & 0x7FFFFF
+                            assert recorded.flat[sites[b]] == k * 2.0 ** -23
 
     @pytest.mark.parametrize("init, ahead", [("random", 2), ("all-up", 0)])
     def test_init_advances_streams(self, init, ahead):

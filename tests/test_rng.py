@@ -144,6 +144,24 @@ class TestStreamSet:
             for block in blocks:
                 assert block[:, j].tolist() == gen.raw64(block.shape[0]).tolist()
 
+    @pytest.mark.parametrize("n_streams", [1, 7, 40])
+    def test_unit_block_takes_high_then_low_half(self, n_streams):
+        streams = XoshiroStreams(99, n_streams, first_stream=5)
+        # an even count, then an odd one that drops its last low half
+        blocks = [streams.unit_block(count).copy() for count in (40, 7)]
+        for j in range(n_streams):
+            raw = Xoshiro256pp(99, stream=5 + j).raw64(24)
+            halves = np.stack([raw >> np.uint64(32), raw], axis=1).ravel() & np.uint64(0x7FFFFF)
+            assert blocks[0][:, j].tolist() == halves[:40].tolist()
+            assert blocks[1][:, j].tolist() == halves[40:47].tolist()
+
+    def test_unit_block_reuses_its_buffer(self):
+        streams = XoshiroStreams(3, 40)
+        first = streams.unit_block(64)
+        second = streams.unit_block(64)
+        assert np.shares_memory(first, second)
+        assert first.shape == (64, 40) and first.dtype == np.uint32
+
     def test_offset_slices_reproduce_full_run(self):
         full = XoshiroStreams(13, 6).unit_block(5)
         left = XoshiroStreams(13, 2, first_stream=0).unit_block(5)
@@ -301,6 +319,16 @@ class TestFloatChecks:
         merged[0::2] = a
         merged[1::2] = b
         assert lag1_joint(merged).p_value >= ALPHA
+
+    def test_engine_draw_sequence_quality(self):
+        # One stream's k values in the order the engine consumes them: the high
+        # then the low 23-bit half of each output.
+        raw = Xoshiro256pp(4242, stream=17).raw64(1 << 19)
+        k = np.stack([raw >> np.uint64(32), raw], axis=1).ravel() & np.uint64(0x7FFFFF)
+        floats = k * 2.0 ** -23
+        assert lag1_joint(floats).passed
+        for report in run_battery(median_threshold_bits(floats)):
+            assert report.passed, f"{report.name}: p={report.p_value}"
 
     def test_lag1_joint_detects_identity(self):
         x = Xoshiro256pp(59).unit_floats(10_000)
