@@ -47,8 +47,9 @@ for lane in range(16):
 # Nibble compaction
 # -----------------
 # Every fourth lane is gathered into a 4-bit field: neighbor count in bits
-# 0-2, the spin's own state in bit 3.  The field is the index into the
-# precomputed Metropolis acceptance table.
+# 0-2, the spin's own state in bit 3.  The field is the code c of the
+# Metropolis acceptance table: the engine accepts the spin when bit c of
+# its draw's acceptance mask is set.
 
 spins = np.uint16(0b1000_1000_0000_0001)
 ssum = nibble_compact(ones, twos, fours, spins, 0)

@@ -6,11 +6,11 @@ same name, and flags always win.  ``--threads`` defaults to 1; the
 environment variable ``MULTISPIN_THREADS`` overrides the configured thread
 count (flags still beat it).  Input that cannot run (threads below 1, a
 temperature that is not finite and positive, a non-finite J, a validate
-run too short to analyse or with a tolerance or cap that is not finite and
-non-negative, an rngtest bit count below the battery's minimum) exits 2
-before any output.  Trajectories are written as CSV with the header
-``sweep,sim,temperature,abs_magnetization,energy_per_spin``, floats printed
-with 9 significant digits, '.' decimals and plain newlines.
+run too short to analyse, with a tolerance or cap that is not finite and
+non-negative or with J <= 0, an rngtest bit count below the battery's
+minimum) exits 2 before any output.  Trajectories are written as CSV with
+the header ``sweep,sim,temperature,abs_magnetization,energy_per_spin``,
+floats printed with 9 significant digits, '.' decimals and plain newlines.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import bitkernels, engine as engine_mod
-from .engine import Engine, neighbor_codes, run_simulations
+from .engine import Engine, build_exp_table, neighbor_codes, run_simulations
 from .lattice import LatticeDims, TC_OVER_J, pack, unpack
 from .observables import MIN_EQUILIBRATION_SAMPLES, Trajectory, summarize
 from .reference import (
@@ -263,6 +263,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     cfg = build_config(args)
+    if cfg.j <= 0:
+        raise ValueError(f"validate judges |M| against the ferromagnetic Onsager curve, "
+                         f"so j must be positive, got {cfg.j}")
     measurements = -(-cfg.sweeps // cfg.measure_interval)  # every interval, plus the last sweep
     if measurements < MIN_EQUILIBRATION_SAMPLES:
         raise ValueError(
@@ -460,6 +463,24 @@ def _selftest_checks():
         bad = int((got != want).sum())
         return None if bad == 0 else f"{bad} neighbor codes differ from brute force"
 
+    def check_mask_acceptance():
+        # The flips accept through per-draw code masks; the plain lattice
+        # accepts a spin of code c when its recorded draw k is below limit[c].
+        dims = Dims(12, 96)
+        red = np.add.outer(np.arange(dims.m), np.arange(dims.n)) % 2 == 0
+        for j in (1.0, -1.0):
+            eng = Engine(dims, [2.0], seed=8, init="random", coupling=j)
+            spins = eng.lattice(0)
+            limits = engine_mod._draw_limits(build_exp_table(2.0, j))
+            k = record_engine_randoms(eng, 1).for_sweep(0) * 2.0 ** 23
+            for phase in (red, ~red):
+                codes = neighbor_code_brute(spins).reshape(dims.m, dims.n)
+                spins[phase & (k < limits[codes])] *= -1
+            bad = int((eng.lattice(0) != spins).sum())
+            if bad:
+                return f"{bad} spins differ from k < limit[code] at J = {j}"
+        return None
+
     def check_halos():
         dims = Dims(12, 96)
         rng = np.random.default_rng(6)
@@ -502,6 +523,7 @@ def _selftest_checks():
         ("pack/unpack round trip (random 12x96)", check_roundtrip),
         ("half-adder place values (all 16 lane patterns)", check_adder),
         ("neighbor codes vs brute force (12x96)", check_neighbor_codes),
+        ("mask acceptance vs k < limit[code] (J=+-1)", check_mask_acceptance),
         ("halo audit over sweeps (12x96)", check_halos),
         ("100-sweep oracle equivalence (12x96)", lambda: check_equivalence(False)),
         ("fault injection detected (corrupted adder)", lambda: check_equivalence(True)),

@@ -14,6 +14,12 @@ two draws, bits 32-54 then bits 0-22, and the stream's draws gate the spins
 of its word in a fixed order -- quarter, bit offset i, field ii -- so runs
 are bit-identical no matter how simulations are partitioned across threads,
 and a recorder can key every draw to the one spin it gated.
+
+A spin of code c (``8*own_bit + neighbor_up_count``) flips when its draw k
+is below ``limit[sim, c]``.  The flips restate that comparison per draw:
+each draw becomes a 16-bit mask whose bit c is ``k < limit[sim, c]``, built
+from two compares because a Metropolis table has at most two limits other
+than 0 and 2**23, and each spin reads bit c of its own draw's mask.
 """
 
 from __future__ import annotations
@@ -75,6 +81,10 @@ _BLUE_BOUNDARY = tuple((q[0], BOUNDARY_RULES[q[0]]) for q in FLIP_BLUE)
 # Stream of (sim, cell, word): ((sim_offset+sim)*cells + cell-1)*words + word-1.
 _DRAW_SCALE = 1 << 23  # a draw is k / _DRAW_SCALE, k an integer in [0, _DRAW_SCALE)
 _FIELDS = np.array([0, 4, 8, 12], dtype=np.uint16).reshape(4, 1, 1, 1)  # nibble field offsets
+# Row 4*i + ii of a quarter's draws and codes is field ii of compact i: bit 4*ii + i.
+_ROW_BITS = tuple(4 * (r % 4) + r // 4 for r in range(16))
+_ROW_WEIGHTS = np.array([1 << b for b in _ROW_BITS], dtype=np.uint16).reshape(16, 1, 1, 1)
+_CODE_WEIGHTS = 1 << np.arange(16)  # bit c of a code mask stands for code c
 _PARTS = np.array([0, 16, 32, 48], dtype=np.uint64).reshape(4, 1)  # 16-bit parts of an output
 
 
@@ -100,6 +110,28 @@ def build_exp_table(T: float, J: float = 1.0) -> np.ndarray:
 def _draw_limits(tables: np.ndarray) -> np.ndarray:
     """Per-entry ``ceil(p * 2**23)``: the draw k accepts exactly when k < limit."""
     return np.ceil(tables * _DRAW_SCALE).astype(np.uint32)
+
+
+def _acceptance_masks(limits) -> tuple[np.ndarray, np.ndarray]:
+    """Compare levels and code masks that restate (n_sim, 16) draw limits.
+
+    Returns ``levels`` (2, n_sim, 1, 1) uint32 and ``masks`` (3, n_sim, 1, 1)
+    uint16 such that for every draw k in [0, 2**23) bit c of
+    ``(k < levels[0]) * masks[0] | (k < levels[1]) * masks[1] | masks[2]``
+    is ``k < limits[sim, c]``.  ``masks[2]`` holds the codes that always
+    flip; a Metropolis table has at most two other non-zero limits, those of
+    the 4|J| and 8|J| costs, and more than two raise ValueError.
+    """
+    limits = np.asarray(limits, dtype=np.int64)
+    partial = np.where(limits < _DRAW_SCALE, limits, 0)
+    graded = partial > 0
+    levels = np.stack([np.where(graded, partial, _DRAW_SCALE).min(axis=1), partial.max(axis=1)])
+    at_level = (partial == levels[:, :, None]) & graded
+    if (graded & ~(at_level[0] | at_level[1])).any():
+        raise ValueError("a simulation has more than two partial acceptance limits")
+    masks = np.concatenate([at_level, (limits >= _DRAW_SCALE)[None]]) @ _CODE_WEIGHTS
+    return (levels.astype(np.uint32).reshape(2, -1, 1, 1),
+            masks.astype(np.uint16).reshape(3, -1, 1, 1))
 
 
 def get_neighbors(lateral: np.ndarray, vertical: np.ndarray, up: bool, right: bool):
@@ -151,34 +183,38 @@ def refresh_boundaries(packed: PackedArrays) -> PackedArrays:
     return packed
 
 
-def _nibble_codes(state: np.ndarray, target: ArrayCode, lateral: ArrayCode,
-                  vertical: ArrayCode, up: bool, right: bool):
-    """Yield ``(i, codes)`` for the bit offsets i = 0..3 of one quarter-flip.
+def _quarter_codes(state: np.ndarray, target: ArrayCode, lateral: ArrayCode,
+                   vertical: ArrayCode, up: bool, right: bool, out: np.ndarray) -> np.ndarray:
+    """Write the 4-bit codes of one quarter-flip's target spins into ``out``.
 
     ``state`` is a (n_sim, 8, cells+2, words+2) array with current halos;
-    ``codes[f, sim, cell-1, word-1]`` is ``8*own_bit + neighbor_up_count`` of
-    bit ``4*f + i`` of the target word.  One shift, one add4 and four
-    compacts per quarter; the target must not change until the last yield.
+    ``out[r, sim, cell-1, word-1]`` becomes ``8*own_bit + neighbor_up_count``
+    of bit ``_ROW_BITS[r]`` of the target word.  One shift, one add4 and
+    four compacts per quarter.
     """
     neighbors = get_neighbors(state[:, lateral.index], state[:, vertical.index], up, right)
     ones, twos, fours = bitwise_add4(*neighbors)
     interior = state[:, target.index, 1:-1, 1:-1]
     for i in range(4):
-        yield i, (nibble_compact(ones, twos, fours, interior, i) >> _FIELDS) & 0xF
+        np.right_shift(nibble_compact(ones, twos, fours, interior, i), _FIELDS,
+                       out=out[4 * i : 4 * i + 4])
+    out &= 0xF
+    return out
 
 
 def neighbor_codes(packed: PackedArrays) -> np.ndarray:
-    """Per-spin 4-bit acceptance codes via the flips' own nibble path.
+    """Per-spin 4-bit acceptance codes via the flips' own code path.
 
     Requires current halos.  Returns a flat array over linear spin indices
     holding ``8*own_bit + neighbor_up_count`` for every site, for auditing
     against a plain-lattice count.
     """
-    out = np.empty((packed.dims.m, packed.dims.n), dtype=np.uint8)
+    dims = packed.dims
+    out = np.empty((dims.m, dims.n), dtype=np.uint8)
+    codes = np.empty((16, 1, dims.cells, dims.words), dtype=np.uint16)
     for quarter in FLIP_RED + FLIP_BLUE:
-        lanes = array_view(out, quarter[0])
-        for i, codes in _nibble_codes(packed.words[None], *quarter):
-            lanes[..., i::4] = np.moveaxis(codes[:, 0], 0, -1)
+        _quarter_codes(packed.words[None], *quarter, out=codes)
+        array_view(out, quarter[0])[..., _ROW_BITS] = np.moveaxis(codes[:, 0], 0, -1)
     return out.reshape(-1)
 
 
@@ -257,9 +293,13 @@ class Engine:
         self.sim_offset = int(sim_offset)
         self.init = init
 
-        self._limits = _draw_limits(
-            np.stack([build_exp_table(t, coupling) for t in self.temperatures])).ravel()
-        self._table_base = 16 * np.arange(self.n_sim)[:, None, None]  # row offsets in _limits
+        self._levels, self._code_masks = _acceptance_masks(_draw_limits(
+            np.stack([build_exp_table(t, coupling) for t in self.temperatures])))
+        # Flip scratch, reused by every quarter: per-draw masks, codes, one compare.
+        lanes = (16, self.n_sim, dims.cells, dims.words)
+        self._masks = np.empty(lanes, np.uint16)
+        self._codes = np.empty(lanes, np.uint16)
+        self._below = np.empty(lanes, bool)
         self.streams = XoshiroStreams(self.seed, self.n_sim * dims.cells * dims.words,
                                       first_stream=self.sim_offset * dims.cells * dims.words)
         self.state = np.zeros((self.n_sim, len(ALL_CODES), dims.cols, dims.vec_len), np.uint16)
@@ -314,18 +354,26 @@ class Engine:
 
     def _flip_quarter(self, target: ArrayCode, lateral: ArrayCode, vertical: ArrayCode,
                       up: bool, right: bool, draws: np.ndarray) -> None:
-        interior = self.state[:, target.index, 1:-1, 1:-1]
+        if self.recorder is not None:
+            for row, bit in enumerate(_ROW_BITS):
+                self.recorder.record(self.sweeps_done, target, bit, draws[row] / _DRAW_SCALE)
+        masks, codes, below = self._masks, self._codes, self._below
+        (low, high), (at_low, at_high, certain) = self._levels, self._code_masks
+        # Bit c of masks[r] is whether draw r accepts code c; codes is scratch here.
+        np.less(draws, low, out=below)
+        np.multiply(below, at_low, out=masks)
+        np.less(draws, high, out=below)
+        np.multiply(below, at_high, out=codes)
+        masks |= codes
+        masks |= certain
+        _quarter_codes(self.state, target, lateral, vertical, up, right, out=codes)
         # Every lane reads only the opposite color and its own pre-quarter
         # bit, so the accepted flips of all 16 lanes apply at once.
-        flipped = np.zeros_like(interior)
-        for i, codes in _nibble_codes(self.state, target, lateral, vertical, up, right):
-            k = draws[4 * i : 4 * i + 4]
-            if self.recorder is not None:
-                for ii, r in enumerate(k / _DRAW_SCALE):
-                    self.recorder.record(self.sweeps_done, target, 4 * ii + i, r)
-            accepted = (k < self._limits[codes + self._table_base]).astype(np.uint16)
-            flipped |= np.bitwise_or.reduce(accepted << (_FIELDS + np.uint16(i)), axis=0)
-        interior ^= flipped
+        masks >>= codes
+        masks &= 1
+        masks *= _ROW_WEIGHTS
+        flipped = np.bitwise_or.reduce(masks, axis=0)
+        self.state[:, target.index, 1:-1, 1:-1] ^= flipped
         self.flips += int(np.bitwise_count(flipped).sum(dtype=np.int64))
 
     def _flip_phase(self, quarters) -> None:

@@ -331,9 +331,12 @@ def onsager_magnetization(T: float, J: float = 1.0) -> float:
 
     ``[1 - sinh(2J/T)**-4] ** (1/8)`` below the critical temperature
     ``TC_OVER_J * J`` (about 2.269185 J), and exactly 0 at or above it.
+    The curve holds for a ferromagnet only, so J must be positive.
     """
     if T <= 0:
         raise ValueError("temperature must be positive")
+    if J <= 0:
+        raise ValueError(f"the Onsager curve needs a ferromagnetic coupling J > 0, got {J}")
     bracket = 1.0 - math.sinh(2.0 * J / T) ** -4
     return bracket ** 0.125 if bracket > 0.0 else 0.0
 

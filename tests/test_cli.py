@@ -190,6 +190,18 @@ class TestInputHardening:
                              "--sweeps", "40", "--measure-interval", "1",
                              match="must be finite and non-negative")
 
+    @pytest.mark.parametrize("j", ["0", "-1"])
+    def test_validate_nonpositive_coupling(self, capsys, j):
+        self.expect_rejected(capsys, "validate", "--m", "12", "--n", "96", "--sweeps", "40",
+                             "--measure-interval", "1", "--j", j, match="j must be positive")
+
+    def test_validate_nonpositive_coupling_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("j = -0.5\n")
+        self.expect_rejected(capsys, "validate", "--config", str(cfg), "--m", "12", "--n", "96",
+                             "--sweeps", "40", "--measure-interval", "1",
+                             match="j must be positive")
+
     @pytest.mark.parametrize("bits", ["0", "127", "-5"])
     def test_rngtest_too_few_bits(self, capsys, bits):
         self.expect_rejected(capsys, "rngtest", "--bits", bits, match="at least 128")

@@ -1,16 +1,20 @@
 """Engine behavior: exponent table, neighbor gathering, flips, halos, sweeps."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
+import multispin.engine as engine_mod
 from multispin.engine import (
     FLIP_BLUE,
     FLIP_RED,
     Engine,
+    _ROW_BITS,
+    _acceptance_masks,
     _draw_limits,
-    _nibble_codes,
+    _quarter_codes,
     build_exp_table,
     get_neighbors,
     neighbor_codes,
@@ -169,15 +173,91 @@ class TestNeighborCodes:
             eng.sweep()
         brute = [neighbor_code_brute(eng.lattice(s)).reshape(DIMS.m, DIMS.n)
                  for s in range(eng.n_sim)]
+        codes = np.empty((16, eng.n_sim, DIMS.cells, DIMS.words), np.uint16)
         for quarter in FLIP_RED + FLIP_BLUE:
-            seen = []
-            for i, codes in _nibble_codes(eng.state, *quarter):
-                seen.append(i)
-                assert codes.shape == (4, eng.n_sim, DIMS.cells, DIMS.words)
-                for s in range(eng.n_sim):
-                    want = np.moveaxis(array_view(brute[s], quarter[0])[..., i::4], -1, 0)
-                    assert (codes[:, s] == want).all()
-            assert seen == [0, 1, 2, 3]
+            assert _quarter_codes(eng.state, *quarter, out=codes) is codes
+            for s in range(eng.n_sim):
+                want = np.moveaxis(array_view(brute[s], quarter[0])[..., _ROW_BITS], -1, 0)
+                assert (codes[:, s] == want).all()
+
+
+class TestKernelCalls:
+    def test_flips_make_one_shift_one_add4_four_compacts_per_quarter(self, monkeypatch):
+        """One sweep makes 8 shifts, 8 add4s and 32 compacts; measuring makes none.
+
+        perfbench/test_smoke.py pins the same 48 calls per sweep through its
+        tracer.  Bit-sliced acceptance (ROADMAP item 3) drops the compacts, so
+        it changes this count together with that pin (ROADMAP item 1).
+        """
+        calls = collections.Counter()
+        for name in ("get_bit_above", "get_bit_below", "bitwise_add4", "nibble_compact"):
+            def counted(*args, _name=name, _kernel=getattr(engine_mod, name), **kwargs):
+                calls[_name] += 1
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(engine_mod, name, counted)
+        eng = Engine(DIMS, [2.0, 2.5], seed=18)
+        eng.sweep()
+        assert calls["get_bit_above"] + calls["get_bit_below"] == 8
+        assert calls["bitwise_add4"] == 8
+        assert calls["nibble_compact"] == 32
+        calls.clear()
+        eng.abs_magnetization()
+        eng.energy_per_spin()
+        assert not calls
+
+
+class TestAcceptanceMasks:
+    def test_masks_restate_limits_at_every_boundary(self):
+        top = (1 << 23) - 1
+        for T in (1e-6, 0.5, TC_OVER_J, 8.0, 1e6):
+            for J in (1.0, 0.5, 0.0, -1.0):
+                limits = _draw_limits(build_exp_table(T, J)).astype(np.int64)
+                (low, high), (at_low, at_high, certain) = _acceptance_masks(limits[None])
+                ks = np.unique(np.clip(np.concatenate([limits - 1, limits, [0, top]]), 0, top))
+                masks = ((ks < low.item()) * at_low.item() | (ks < high.item()) * at_high.item()
+                         | certain.item())
+                for c in range(16):
+                    assert (((masks >> c) & 1) == (ks < limits[c])).all(), (T, J, c)
+
+    def test_more_than_two_partial_limits_rejected(self):
+        limits = np.zeros((2, 16), np.uint32)
+        limits[1, :3] = (1, 2, 3)
+        with pytest.raises(ValueError, match="more than two"):
+            _acceptance_masks(limits)
+
+    @pytest.mark.parametrize("J", [1.0, 0.0, -1.0])
+    def test_mask_path_flips_what_limits_accept(self, J):
+        # Per quarter, on the same draws and codes: k < limit[code], gathered directly.
+        temps = (1e-6, TC_OVER_J, 1e6)
+        eng = Engine(DIMS, temps, seed=41, coupling=J)
+        limits = _draw_limits(np.stack([build_exp_table(t, J) for t in temps]))
+        sims = np.arange(eng.n_sim)[:, None, None]
+        weights = np.array([1 << b for b in _ROW_BITS], np.uint16).reshape(16, 1, 1, 1)
+        flip_quarter = eng._flip_quarter
+        checked = []
+
+        def direct_check(target, lateral, vertical, up, right, draws):
+            codes = _quarter_codes(eng.state, target, lateral, vertical, up, right,
+                                   out=np.empty(draws.shape, np.uint16))
+            accepted = (draws < limits[sims, codes]).astype(np.uint16)
+            want = np.bitwise_or.reduce(accepted * weights, axis=0)
+            before, flips = eng.state.copy(), eng.flips
+            flip_quarter(target, lateral, vertical, up, right, draws)
+            changed = eng.state ^ before
+            assert (changed[:, target.index, 1:-1, 1:-1] == want).all()
+            changed[:, target.index, 1:-1, 1:-1] = 0
+            assert not changed.any()
+            assert eng.flips - flips == int(np.bitwise_count(want).sum())
+            checked.append(want)
+
+        eng._flip_quarter = direct_check
+        for _ in range(3):
+            eng.sweep()
+        assert len(checked) == 24
+        flipped = np.stack(checked)
+        # at J = 0 every flip is free, so every spin flips
+        assert flipped.any() and flipped.all() == (J == 0)
 
 
 class TestBoundaryUpdates:
@@ -217,10 +297,15 @@ class TestBoundaryUpdates:
             assert eng.halo_mismatches() == 0
 
 
+def set_limits(eng, limits):
+    """Give every simulation the same draw limit per code (a scalar: for every code)."""
+    eng._levels, eng._code_masks = _acceptance_masks(np.broadcast_to(limits, (eng.n_sim, 16)))
+
+
 class TestFlips:
     def test_all_zero_table_freezes_state(self):
         eng = Engine.from_lattices([random_spins(DIMS, 10)], [2.0], seed=3)
-        eng._limits[:] = 0
+        set_limits(eng, 0)
         before = eng.state.copy()
         eng.sweep()
         assert (eng.state == before).all()
@@ -229,14 +314,14 @@ class TestFlips:
     def test_all_one_table_toggles_everything(self):
         spins = random_spins(DIMS, 11)
         eng = Engine.from_lattices([spins], [2.0], seed=3)
-        eng._limits[:] = 1 << 23
+        set_limits(eng, 1 << 23)
         eng.sweep()
         assert (eng.lattice(0) == -spins).all()
         assert eng.flips == DIMS.sites
 
     def test_constant_half_table_is_binomial(self):
         eng = Engine.from_lattices([random_spins(DIMS, 12)], [2.0], seed=4)
-        eng._limits[:] = 1 << 22
+        set_limits(eng, 1 << 22)
         sweeps = 50
         for _ in range(sweeps):
             eng.sweep()
@@ -244,6 +329,20 @@ class TestFlips:
         # count ~ Binomial(attempts, 0.5): stay within 5 sigma
         sigma = 0.5 * math.sqrt(attempts)
         assert abs(eng.flips - 0.5 * attempts) < 5 * sigma
+
+    @pytest.mark.parametrize("k, after", [
+        ((1 << 21) - 1, "flipped"), (1 << 21, "down"), ((1 << 22) - 1, "down"), (1 << 22, "same"),
+    ])
+    def test_draw_equal_to_limit_rejects(self, monkeypatch, k, after):
+        # Down spins (codes 0-7) accept below 2**21, up spins (codes 8-15) below 2**22.
+        spins = random_spins(DIMS, 14)
+        eng = Engine.from_lattices([spins], [2.0], seed=3)
+        set_limits(eng, np.repeat([1 << 21, 1 << 22], 8))
+        monkeypatch.setattr(eng.streams, "unit_block",
+                            lambda count: np.full((count, eng.streams.n_streams), k, np.uint32))
+        eng.sweep()
+        want = {"flipped": -spins, "down": np.full_like(spins, -1), "same": spins}[after]
+        assert (eng.lattice(0) == want).all()
 
     def test_flip_count_equals_changed_spins(self):
         eng = Engine(DIMS, [1.5, 2.3, 4.0], seed=16, init="random")

@@ -304,6 +304,11 @@ class TestOnsager:
         with pytest.raises(ValueError):
             onsager_magnetization(-1.0)
 
+    @pytest.mark.parametrize("J", [0.0, -1.0])
+    def test_nonpositive_coupling_rejected(self, J):
+        with pytest.raises(ValueError, match="J > 0"):
+            onsager_magnetization(2.0, J=J)
+
 
 class TestArrayView:
     @pytest.mark.parametrize("m,n", [(4, 32), (12, 96), (8, 64)])
