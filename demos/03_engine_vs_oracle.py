@@ -2,10 +2,11 @@
 Bit-exact agreement between the packed engine and a plain oracle
 ================================================================
 
-Every random draw the engine consumes is keyed to the one spin it gated.
-Replaying the recorded draws through a straightforward +/-1 checkerboard
-sweep must land on the identical lattice after every sweep -- no tolerance,
-no statistics, spin for spin.
+Every random draw the engine consumes is keyed to the one spin it gates,
+read from a copy of the engine's streams in the stated draw order.
+Replaying those draws through a straightforward +/-1 checkerboard sweep
+must land on the identical lattice after every sweep -- no tolerance, no
+statistics, spin for spin.
 """
 
 from multispin.engine import Engine

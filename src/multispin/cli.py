@@ -8,9 +8,12 @@ count (flags still beat it).  Input that cannot run (threads below 1, a
 temperature that is not finite and positive, a non-finite J, a validate
 run too short to analyse, with a tolerance or cap that is not finite and
 non-negative or with J <= 0, an rngtest bit count below the battery's
-minimum) exits 2 before any output.  Trajectories are written as CSV with
-the header ``sweep,sim,temperature,abs_magnetization,energy_per_spin``,
-floats printed with 9 significant digits, '.' decimals and plain newlines.
+minimum, an unknown init mode) exits 2 before any output.  The simulate
+``--output`` file is opened before the run: an unwritable path exits 2
+before any sweep, and a failed run leaves the file empty.  Trajectories are
+written as CSV with the header
+``sweep,sim,temperature,abs_magnetization,energy_per_spin``, floats printed
+with 9 significant digits, '.' decimals and plain newlines.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import bitkernels, engine as engine_mod
-from .engine import Engine, build_exp_table, neighbor_codes, run_simulations
+from .engine import INIT_MODES, Engine, build_exp_table, neighbor_codes, run_simulations
 from .lattice import LatticeDims, TC_OVER_J, pack, unpack
 from .observables import MIN_EQUILIBRATION_SAMPLES, Trajectory, summarize
 from .reference import (
@@ -156,6 +159,8 @@ def build_config(args: argparse.Namespace) -> SimConfig:
         raise ValueError(f"temperatures must be finite and positive, got {cfg.temperature}")
     if not math.isfinite(cfg.j):
         raise ValueError(f"coupling j must be finite, got {cfg.j}")
+    if cfg.init not in INIT_MODES:
+        raise ValueError(f"init must be one of {', '.join(INIT_MODES)}, got {cfg.init!r}")
     for key in ("tolerance", "disordered_cap"):
         value = getattr(cfg, key)
         if not (math.isfinite(value) and value >= 0):
@@ -178,8 +183,7 @@ def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-sim", dest="n_sim", type=int,
                         help="independent simulations per temperature")
     parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--init", choices=("random", "all-up"), help="initial spin state")
-    parser.add_argument("--output", help="CSV output path (default stdout)")
+    parser.add_argument("--init", choices=INIT_MODES, help="initial spin state")
     parser.add_argument(
         "--threads",
         type=int,
@@ -196,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run simulations and write a trajectory CSV")
     _add_sim_flags(p_sim)
+    p_sim.add_argument("--output", help="CSV output path (default stdout)")
 
     p_val = sub.add_parser("validate", help="compare equilibrated |M| against the exact curve")
     _add_sim_flags(p_val)
@@ -251,13 +256,14 @@ def _run_config(cfg: SimConfig) -> Trajectory:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    trajectory = _run_config(cfg)
-    if cfg.output:
-        with open(cfg.output, "w", encoding="ascii", newline="") as fh:
-            write_csv(trajectory, fh)
-        print(f"wrote {trajectory.n_measurements * trajectory.n_sim} rows to {cfg.output}")
-    else:
-        write_csv(trajectory, sys.stdout)
+    if not cfg.output:
+        write_csv(_run_config(cfg), sys.stdout)
+        return 0
+    # Opened before the run, so an unwritable path fails before any sweep.
+    with open(cfg.output, "w", encoding="ascii", newline="") as fh:
+        trajectory = _run_config(cfg)
+        write_csv(trajectory, fh)
+    print(f"wrote {trajectory.n_measurements * trajectory.n_sim} rows to {cfg.output}")
     return 0
 
 

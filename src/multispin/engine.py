@@ -13,7 +13,8 @@ bits of that (cell, word) in all eight arrays; after that each output gives
 two draws, bits 32-54 then bits 0-22, and the stream's draws gate the spins
 of its word in a fixed order -- quarter, bit offset i, field ii -- so runs
 are bit-identical no matter how simulations are partitioned across threads,
-and a recorder can key every draw to the one spin it gated.
+and an oracle holding a copy of the streams can key every draw to the one
+spin it gates without watching the flips.
 
 A spin of code c (``8*own_bit + neighbor_up_count``) flips when its draw k
 is below ``limit[sim, c]``.  The flips restate that comparison per draw:
@@ -24,6 +25,7 @@ than 0 and 2**23, and each spin reads bit c of its own draw's mask.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -47,6 +49,7 @@ from .observables import Trajectory
 from .rng import XoshiroStreams
 
 __all__ = [
+    "INIT_MODES",
     "FLIP_RED",
     "FLIP_BLUE",
     "build_exp_table",
@@ -58,6 +61,8 @@ __all__ = [
 ]
 
 _C = ArrayCode
+
+INIT_MODES = ("random", "all-up")  # the initial spin states an Engine accepts
 
 # Quarter-flip argument tables: (target, lateral source, vertical source, up, right).
 # Odd targets read the vertical source upward; the right flag says whether the
@@ -218,37 +223,28 @@ def neighbor_codes(packed: PackedArrays) -> np.ndarray:
     return out.reshape(-1)
 
 
-class _HaloAudit:
-    """Gather indices rebuilt from the canonical halo map, cached per dims."""
+@functools.cache
+def _halo_audit(dims: LatticeDims) -> tuple:
+    """(live, source, dead) gather indices from the canonical halo map.
 
-    def __init__(self, dims: LatticeDims):
-        live_pos: list[tuple[int, int, int]] = []
-        live_src: list[tuple[int, int, int]] = []
-        dead_pos: list[tuple[int, int, int]] = []
-        for code in ALL_CODES:
-            for cell in range(dims.cols):
-                for element in range(dims.vec_len):
-                    interior = 1 <= cell <= dims.cells and 1 <= element <= dims.words
-                    if interior:
-                        continue
-                    src = canonical_halo_source(code, cell, element, dims)
-                    if src is None:
-                        dead_pos.append((code.index, cell, element))
-                    else:
-                        live_pos.append((code.index, cell, element))
-                        live_src.append((src.code.index, src.cell, src.word))
-        self.live_pos = tuple(np.array(cols) for cols in zip(*live_pos))
-        self.live_src = tuple(np.array(cols) for cols in zip(*live_src))
-        self.dead_pos = tuple(np.array(cols) for cols in zip(*dead_pos))
-
-
-_AUDITS: dict[LatticeDims, _HaloAudit] = {}
-
-
-def _halo_audit(dims: LatticeDims) -> _HaloAudit:
-    if dims not in _AUDITS:
-        _AUDITS[dims] = _HaloAudit(dims)
-    return _AUDITS[dims]
+    Each is a tuple of (array, cell, element) index arrays: live halo and
+    moat words, their canonical sources, and the words that must stay 0.
+    """
+    live: list[tuple[int, int, int]] = []
+    source: list[tuple[int, int, int]] = []
+    dead: list[tuple[int, int, int]] = []
+    for code in ALL_CODES:
+        for cell in range(dims.cols):
+            for element in range(dims.vec_len):
+                if 1 <= cell <= dims.cells and 1 <= element <= dims.words:
+                    continue
+                src = canonical_halo_source(code, cell, element, dims)
+                if src is None:
+                    dead.append((code.index, cell, element))
+                else:
+                    live.append((code.index, cell, element))
+                    source.append((src.code.index, src.cell, src.word))
+    return tuple(tuple(np.array(cols) for cols in zip(*pos)) for pos in (live, source, dead))
 
 
 class Engine:
@@ -291,6 +287,8 @@ class Engine:
         self.seed = int(seed)
         self.coupling = float(coupling)
         self.sim_offset = int(sim_offset)
+        if init not in INIT_MODES:
+            raise ValueError(f"unknown init mode {init!r} (expected one of {INIT_MODES})")
         self.init = init
 
         self._levels, self._code_masks = _acceptance_masks(_draw_limits(
@@ -306,18 +304,15 @@ class Engine:
         interior = self.state[:, :, 1:-1, 1:-1]
         if init == "all-up":
             interior[...] = 0xFFFF
-        elif init == "random":
+        else:
             # Array ALL_CODES[a] takes 16-bit part a % 4 (low first) of output a // 4.
             parts = (self.streams.raw_block(2)[:, None] >> _PARTS).astype(np.uint16)
             interior[...] = np.moveaxis(
                 parts.reshape(len(ALL_CODES), self.n_sim, dims.cells, dims.words), 0, 1)
-        else:
-            raise ValueError(f"unknown init mode {init!r} (expected 'random' or 'all-up')")
 
         self.sweeps_done = 0
         self.attempts = 0
         self.flips = 0
-        self.recorder = None
 
         self.update_red_bc()
         self.update_blue_bc()
@@ -354,9 +349,6 @@ class Engine:
 
     def _flip_quarter(self, target: ArrayCode, lateral: ArrayCode, vertical: ArrayCode,
                       up: bool, right: bool, draws: np.ndarray) -> None:
-        if self.recorder is not None:
-            for row, bit in enumerate(_ROW_BITS):
-                self.recorder.record(self.sweeps_done, target, bit, draws[row] / _DRAW_SCALE)
         masks, codes, below = self._masks, self._codes, self._below
         (low, high), (at_low, at_high, certain) = self._levels, self._code_masks
         # Bit c of masks[r] is whether draw r accepts code c; codes is scratch here.
@@ -430,14 +422,10 @@ class Engine:
 
     def halo_mismatches(self) -> int:
         """Halo/moat words differing from their canonical source (0 = clean)."""
-        audit = _halo_audit(self.dims)
+        (a, g, w), (sa, sg, sw), (da, dg, dw) = _halo_audit(self.dims)
         st = self.state
-        a, g, w = audit.live_pos
-        sa, sg, sw = audit.live_src
         bad = int((st[:, a, g, w] != st[:, sa, sg, sw]).sum())
-        da, dg, dw = audit.dead_pos
-        bad += int((st[:, da, dg, dw] != 0).sum())
-        return bad
+        return bad + int((st[:, da, dg, dw] != 0).sum())
 
     # -- driving ----------------------------------------------------------------
 

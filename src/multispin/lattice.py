@@ -9,7 +9,7 @@ columns.  Same-parity rows of one lattice column pack 16 to a word, least
 significant bit lowest; bit 1 encodes spin +1.  Each array's sites are
 therefore a fixed stride pattern of the lattice, and ``array_view`` states
 it once as a strided (cells, words, 16) view that packing, unpacking, the
-neighbor audit and the draw recorder all read the layout from.
+neighbor audit and the replay's draw map all read the layout from.
 
 Every matrix is expanded by one cell column on each side (the moats) and one
 word at each end of every column (the halo words), so stencil reads never

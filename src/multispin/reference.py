@@ -2,13 +2,16 @@
 
 The checkerboard oracle is the ground truth the packed engine is held to:
 all red sites update from pre-phase neighbor values, then all blue sites.
-Replaying the engine's recorded random draws through it must reproduce the
-engine's lattice spin for spin, sweep after sweep.  The single-spin sweep
-is a sequential variant whose agreement is statistical only.
+Replaying the engine's draws through it must reproduce the engine's
+lattice spin for spin, sweep after sweep; the draws come from a copy of the
+engine's streams in the stated order, so the replay checks that order too.
+The single-spin sweep is a sequential variant whose agreement is
+statistical only.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -16,7 +19,6 @@ import numpy as np
 from .lattice import (
     ALL_CODES,
     LatticeDims,
-    ArrayCode,
     array_view,
     check_spins,
     neighbor_indices,
@@ -33,6 +35,8 @@ __all__ = [
     "RandomMap",
     "record_engine_randoms",
 ]
+
+_UNIT = 2.0 ** -23  # a draw k of XoshiroStreams.unit_block stands for k * 2**-23
 
 
 def acceptance_lut(T: float, J: float = 1.0) -> np.ndarray:
@@ -177,32 +181,29 @@ class RandomMap:
         return int(np.isfinite(self.draws[0]).sum()) if self.n_sweeps else 0
 
 
-class _MapRecorder:
-    """Engine hook writing each draw block onto the gated spins."""
-
-    def __init__(self, random_map: RandomMap, base_sweep: int):
-        self._base = base_sweep
-        # One (sweeps, cells, words, 16) view of the whole map per array.
-        self._views = {code: array_view(random_map.draws, code) for code in ALL_CODES}
-
-    def record(self, sweep: int, code: ArrayCode, bit: int, draws: np.ndarray) -> None:
-        self._views[code][sweep - self._base, ..., bit] = draws[0]
-
-
 def record_engine_randoms(engine, n_sweeps: int) -> RandomMap:
-    """Run ``n_sweeps`` engine sweeps, capturing every gating draw.
+    """Run ``n_sweeps`` engine sweeps and map every draw onto the spin it gates.
 
-    The engine must hold a single simulation.  Each recorded layer holds
-    exactly one entry per spin: red spins filled during the red phase, blue
-    during the blue one.
+    The engine must hold a single simulation.  The draws come from a copy of
+    ``engine.streams``, placed by the stated order, not by the flips: per
+    color phase one ``unit_block(64)``, whose row 16q + 4i + ii gates bit
+    4ii + i of quarter q's target ``ALL_CODES[4*phase + q]``.  Each layer
+    holds exactly one entry per spin.
     """
     if engine.n_sim != 1:
         raise ValueError("draw recording requires a single-simulation engine")
-    random_map = RandomMap(engine.dims, n_sweeps)
-    engine.recorder = _MapRecorder(random_map, engine.sweeps_done)
-    try:
-        for _ in range(n_sweeps):
-            engine.sweep()
-    finally:
-        engine.recorder = None
+    dims = engine.dims
+    streams = copy.deepcopy(engine.streams)
+    random_map = RandomMap(dims, n_sweeps)
+    # One (sweeps, cells, words, 16) view of the whole map per array.
+    views = [array_view(random_map.draws, code) for code in ALL_CODES]
+    for sweep in range(n_sweeps):
+        for phase in range(2):
+            rows = streams.unit_block(64).reshape(4, 4, 4, dims.cells, dims.words)
+            # [q, i, ii, cell, word] -> [q, cell, word, 4*ii + i]
+            bits = rows.transpose(0, 3, 4, 2, 1).reshape(4, dims.cells, dims.words, 16)
+            for q in range(4):
+                views[4 * phase + q][sweep] = bits[q] * _UNIT
+    for _ in range(n_sweeps):
+        engine.sweep()
     return random_map

@@ -2,6 +2,7 @@
 
 import pytest
 
+from multispin import cli
 from multispin.cli import (
     CSV_HEADER,
     ENV_THREADS,
@@ -201,6 +202,42 @@ class TestInputHardening:
         self.expect_rejected(capsys, "validate", "--config", str(cfg), "--m", "12", "--n", "96",
                              "--sweeps", "40", "--measure-interval", "1",
                              match="j must be positive")
+
+    @pytest.mark.parametrize("command", ["simulate", "validate", "bench"])
+    def test_unknown_init_in_config(self, tmp_path, capsys, command):
+        # Config values skip argparse's choices, so build_config checks them.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("init = sideways\n")
+        self.expect_rejected(capsys, command, "--config", str(cfg), "--m", "12", "--n", "96",
+                             "--sweeps", "40", "--measure-interval", "1",
+                             match="init must be one of random, all-up")
+
+    def test_unwritable_output_fails_before_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_simulations", lambda *a, **k: calls.append(a))
+        self.expect_rejected(capsys, "simulate", *SMALL,
+                             "--output", str(tmp_path / "missing" / "x.csv"),
+                             match="No such file or directory")
+        assert calls == []
+
+    def test_failed_run_leaves_output_empty(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("run failed")
+
+        out = tmp_path / "x.csv"
+        out.write_text("old rows\n")
+        monkeypatch.setattr(cli, "run_simulations", fail)
+        self.expect_rejected(capsys, "simulate", *SMALL, "--output", str(out), match="run failed")
+        assert out.read_bytes() == b""
+
+    @pytest.mark.parametrize("command", ["validate", "bench"])
+    def test_output_is_simulate_only(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *SMALL, "--output", str(tmp_path / "x.csv"))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--output" in captured.err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("bits", ["0", "127", "-5"])
     def test_rngtest_too_few_bits(self, capsys, bits):

@@ -215,3 +215,22 @@ class TestRecordReplay:
                 replay.sweep()
                 checkerboard_sweep_plain(spins, 2.0, rmap.for_sweep(k))
                 assert (unpack(replay.packed(0)) == spins).all(), f"{dims}: sweep {k}"
+
+    def test_replay_catches_swapped_draw_rows(self, monkeypatch):
+        # Draw rows 0 and 1 of every quarter trade places in the flips, each
+        # spin keeping its own code: still a valid sampler, but not the
+        # stated draw order, so the replay must diverge from the engine.
+        flip_quarter = Engine._flip_quarter
+
+        def swapped(self, *args):
+            *quarter, draws = args
+            flip_quarter(self, *quarter, draws[[1, 0, *range(2, 16)]])
+
+        monkeypatch.setattr(Engine, "_flip_quarter", swapped)
+        eng = Engine(DIMS, [2.269], seed=41, init="random")
+        spins = eng.lattice(0)
+        faults = 0
+        for _ in range(20):
+            checkerboard_sweep_plain(spins, 2.269, record_engine_randoms(eng, 1).for_sweep(0))
+            faults += int((eng.lattice(0) != spins).sum())
+        assert faults > 0
