@@ -8,10 +8,11 @@ count (flags still beat it).  Input that cannot run (threads below 1, a
 temperature that is not finite and positive, a non-finite J, a validate
 run too short to analyse, with a tolerance or cap that is not finite and
 non-negative or with J <= 0, an rngtest bit count below the battery's
-minimum, an unknown init mode) exits 2 before any output.  The simulate
-``--output`` file is opened before the run: an unwritable path exits 2
-before any sweep, and a failed run leaves the file empty.  Trajectories are
-written as CSV with the header
+minimum, an unknown init mode, a seed outside [0, 2**64), an ``output``
+config key given to a command other than simulate) exits 2 before any
+output.  The simulate ``--output`` file is opened before the run: an
+unwritable path exits 2 before any sweep, and a failed run leaves the file
+empty.  Trajectories are written as CSV with the header
 ``sweep,sim,temperature,abs_magnetization,energy_per_spin``, floats printed
 with 9 significant digits, '.' decimals and plain newlines.
 """
@@ -39,6 +40,7 @@ from .reference import (
 from .rng import (
     MIN_BATTERY_BITS,
     Xoshiro256pp,
+    check_seed,
     frequency_histogram,
     lag1_joint,
     load_bitstream,
@@ -134,6 +136,9 @@ def build_config(args: argparse.Namespace) -> SimConfig:
         for key, value in parse_config_file(args.config).items():
             if key not in kinds:
                 raise ValueError(f"unknown config key {key!r}")
+            if key == "output" and args.command != "simulate":
+                raise ValueError(f"config key 'output' is read by simulate only; "
+                                 f"{args.command} writes no CSV")
             kind = parse_temperatures if key == "temperature" else kinds[key]
             setattr(cfg, key, kind(value))
     env_threads = os.environ.get(ENV_THREADS)
@@ -151,6 +156,7 @@ def build_config(args: argparse.Namespace) -> SimConfig:
         raise ValueError("measure interval must be positive")
     if cfg.threads < 1:
         raise ValueError(f"threads must be at least 1, got {cfg.threads}")
+    check_seed(cfg.seed)
     if cfg.n_sim < 1:
         raise ValueError(f"n_sim must be at least 1, got {cfg.n_sim}")
     if not cfg.temperature:
@@ -182,7 +188,7 @@ def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
                         help="sweeps between measurements")
     parser.add_argument("--n-sim", dest="n_sim", type=int,
                         help="independent simulations per temperature")
-    parser.add_argument("--seed", type=int, help="master seed")
+    parser.add_argument("--seed", type=int, help="master seed in [0, 2**64)")
     parser.add_argument("--init", choices=INIT_MODES, help="initial spin state")
     parser.add_argument(
         "--threads",
@@ -218,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bit count for the battery (default 6400000)")
     p_rng.add_argument("--floats", type=int, default=1_000_000,
                        help="float count for histogram/lag-1 (default 1000000)")
-    p_rng.add_argument("--seed", type=int, default=1, help="master seed (internal source)")
+    p_rng.add_argument("--seed", type=int, default=1,
+                       help="master seed in [0, 2**64) (internal source)")
     p_rng.add_argument("--file", help="bit stream file (raw binary or ASCII 0/1) instead of the internal generator")
     p_rng.add_argument("--median-check", action="store_true",
                        help="also threshold 2**23 floats at their median and re-run the battery")
@@ -375,6 +382,7 @@ def _print_reports(reports, csv_rows) -> int:
 
 
 def cmd_rngtest(args: argparse.Namespace) -> int:
+    check_seed(args.seed)
     # --bits 0 with --file means "no truncation".
     if args.bits < MIN_BATTERY_BITS and not (args.file and args.bits == 0):
         raise ValueError(f"--bits must be at least {MIN_BATTERY_BITS} "

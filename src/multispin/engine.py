@@ -91,6 +91,7 @@ _ROW_BITS = tuple(4 * (r % 4) + r // 4 for r in range(16))
 _ROW_WEIGHTS = np.array([1 << b for b in _ROW_BITS], dtype=np.uint16).reshape(16, 1, 1, 1)
 _CODE_WEIGHTS = 1 << np.arange(16)  # bit c of a code mask stands for code c
 _PARTS = np.array([0, 16, 32, 48], dtype=np.uint64).reshape(4, 1)  # 16-bit parts of an output
+_MEASURE_SPINS = 1 << 20  # spins unpacked at once by energy_per_spin
 
 
 def build_exp_table(T: float, J: float = 1.0) -> np.ndarray:
@@ -257,7 +258,8 @@ class Engine:
     temperatures : sequence of float
         One temperature per simulation, in units of the coupling.
     seed : int
-        Master seed; all stream states derive from it deterministically.
+        Master seed in [0, 2**64); all stream states derive from it
+        deterministically.
     init : "random" | "all-up"
         Initial spin configuration.  A random start takes the first two
         outputs of every flip stream, so flips draw from the third output
@@ -410,15 +412,25 @@ class Engine:
         return np.abs(2.0 * ups / self.dims.sites - 1.0)
 
     def energy_per_spin(self) -> np.ndarray:
-        """Per-simulation bond energy per spin, each bond counted once."""
-        out = np.empty(self.n_sim)
-        for s in range(self.n_sim):
-            spins = self.lattice(s)
-            bonds = (spins * np.roll(spins, -1, axis=0)).sum(dtype=np.int64) + (
-                spins * np.roll(spins, -1, axis=1)
-            ).sum(dtype=np.int64)
-            out[s] = -self.coupling * bonds / self.dims.sites
-        return out
+        """Per-simulation bond energy per spin, each bond counted once.
+
+        Simulations unpack in chunks of at most ``_MEASURE_SPINS`` spins (at
+        least one simulation each), so the ±1 scratch is bounded by the chunk,
+        not by ``n_sim``.  Each lattice's unaligned bonds U are counted by
+        comparing it with itself shifted along both axes, plus the two wrap
+        rows; of its 2·sites bonds, the sum of s_i·s_j is 2·sites − 2U.
+        """
+        sites = self.dims.sites
+        chunk = max(1, _MEASURE_SPINS // sites)
+        unaligned = np.empty(self.n_sim, np.int64)
+        for a in range(0, self.n_sim, chunk):
+            lattices = unpack(PackedArrays(self.dims, self.state[a : a + chunk]))
+            for s, spins in enumerate(lattices, start=a):
+                unaligned[s] = (np.count_nonzero(spins[1:] != spins[:-1])
+                                + np.count_nonzero(spins[0] != spins[-1])
+                                + np.count_nonzero(spins[:, 1:] != spins[:, :-1])
+                                + np.count_nonzero(spins[:, 0] != spins[:, -1]))
+        return -self.coupling * (2 * sites - 2 * unaligned) / sites
 
     def halo_mismatches(self) -> int:
         """Halo/moat words differing from their canonical source (0 = clean)."""

@@ -207,12 +207,13 @@ def array_view(grid: np.ndarray, code: ArrayCode) -> np.ndarray:
 
 
 class PackedArrays:
-    """The eight halo-expanded word matrices of one lattice.
+    """The eight halo-expanded word matrices of one lattice, or of a stack.
 
-    ``words[a, g, w]`` is the 16-bit word of array ``ALL_CODES[a]`` at cell
-    column g (0 and cells+1 are moats) and vector element w (0 and words+1
-    are halo words).  Bit t of an interior word is 1 exactly when the spin at
-    ``unclassify((code, g, w, t))`` is +1.
+    ``words[..., a, g, w]`` is the 16-bit word of array ``ALL_CODES[a]`` at
+    cell column g (0 and cells+1 are moats) and vector element w (0 and
+    words+1 are halo words).  Bit t of an interior word is 1 exactly when the
+    spin at ``unclassify((code, g, w, t))`` is +1.  Leading axes, such as an
+    engine's simulation axis, index independent lattices of the same dims.
     """
 
     def __init__(self, dims: LatticeDims, words: Optional[np.ndarray] = None):
@@ -220,16 +221,17 @@ class PackedArrays:
         if words is None:
             words = np.zeros(shape, dtype=np.uint16)
         words = np.asarray(words)
-        if words.shape != shape or words.dtype != np.uint16:
-            raise ValueError(f"expected uint16 words of shape {shape}, got {words.dtype} {words.shape}")
+        if words.shape[-3:] != shape or words.dtype != np.uint16:
+            raise ValueError(f"expected uint16 words of shape (..., *{shape}), "
+                             f"got {words.dtype} {words.shape}")
         self.dims = dims
         self.words = words
 
     def matrix(self, code: ArrayCode) -> np.ndarray:
-        return self.words[code.index]
+        return self.words[..., code.index, :, :]
 
     def interior(self, code: ArrayCode) -> np.ndarray:
-        return self.words[code.index, 1:-1, 1:-1]
+        return self.words[..., code.index, 1:-1, 1:-1]
 
     def copy(self) -> "PackedArrays":
         return PackedArrays(self.dims, self.words.copy())
@@ -258,13 +260,18 @@ def pack(spins: np.ndarray) -> PackedArrays:
 
 
 def unpack(packed: PackedArrays) -> np.ndarray:
-    """Exact inverse of :func:`pack` on the interior words; halos are ignored."""
+    """Exact inverse of :func:`pack` on the interior words; halos are ignored.
+
+    Returns an int8 (..., m, n) lattice with the leading axes of
+    ``packed.words``, so a stack of lattices unpacks in one call.
+    """
     dims = packed.dims
-    spins = np.empty((dims.m, dims.n), dtype=np.int8)
+    lead = packed.words.shape[:-3]
+    spins = np.empty((*lead, dims.m, dims.n), dtype=np.int8)
     for code in ALL_CODES:
         octets = packed.interior(code).astype("<u2", copy=False).view(np.uint8)
         bits = np.unpackbits(octets, axis=-1, bitorder="little")
-        array_view(spins, code)[...] = bits.reshape(dims.cells, dims.words, WORD_BITS)
+        array_view(spins, code)[...] = bits.reshape(*lead, dims.cells, dims.words, WORD_BITS)
     spins *= 2
     spins -= 1
     return spins

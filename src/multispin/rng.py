@@ -25,6 +25,7 @@ from scipy.special import erfc, gammaincc, ndtr
 __all__ = [
     "ALPHA",
     "MIN_BATTERY_BITS",
+    "check_seed",
     "Xoshiro256pp",
     "XoshiroStreams",
     "stream_state",
@@ -52,6 +53,18 @@ _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4B7C15
 _MANTISSA = 0x7FFFFF
 _UNIT = 2.0 ** -23
+
+
+def check_seed(seed) -> int:
+    """The master seed as an int, or ValueError outside [0, 2**64).
+
+    Stream states reduce the seed modulo 2**64, so a seed outside that range
+    would silently replay an in-range seed's streams.
+    """
+    seed = int(seed)
+    if not 0 <= seed <= _M64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def _mix64(z):
@@ -142,7 +155,7 @@ class Xoshiro256pp:
     """Scalar xoshiro256++ stream on python integers."""
 
     def __init__(self, master_seed: int, stream: int = 0):
-        self.master_seed = int(master_seed)
+        self.master_seed = check_seed(master_seed)
         self.stream = int(stream)
         self._s = stream_state(self.master_seed, self.stream)
 
@@ -198,7 +211,7 @@ class XoshiroStreams:
     def __init__(self, master_seed: int, n_streams: int, first_stream: int = 0):
         if n_streams < 1:
             raise ValueError("need at least one stream")
-        self.master_seed = int(master_seed)
+        self.master_seed = check_seed(master_seed)
         self.n_streams = int(n_streams)
         self.first_stream = int(first_stream)
         self._s = list(stream_states(self.master_seed, self.first_stream, self.n_streams))

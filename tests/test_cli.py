@@ -1,5 +1,7 @@
 """Command-line surface: config handling, CSV schema, exit codes."""
 
+import hashlib
+
 import pytest
 
 from multispin import cli
@@ -239,6 +241,45 @@ class TestInputHardening:
         assert captured.out == "" and "--output" in captured.err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "bench"])
+    def test_output_config_key_is_simulate_only(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"output = {out}\n")
+        self.expect_rejected(capsys, command, "--config", str(cfg), *SMALL,
+                             match="config key 'output' is read by simulate only")
+        assert not out.exists()
+
+    def test_output_config_key_honoured_by_simulate(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"output = {out}\n")
+        assert run_cli("simulate", "--config", str(cfg), *SMALL) == 0
+        assert out.read_text().splitlines()[0] == CSV_HEADER
+
+    @pytest.mark.parametrize("seed", [str(-1), str(1 << 64)])
+    @pytest.mark.parametrize("command", ["simulate", "validate", "bench", "rngtest"])
+    def test_seed_outside_64_bits(self, tmp_path, capsys, command, seed):
+        flags = ("--bits", "1000") if command == "rngtest" else SMALL
+        self.expect_rejected(capsys, command, *flags, "--seed", seed,
+                             match="seed must be in [0, 2**64)")
+
+    @pytest.mark.parametrize("seed", [str(-5), str((1 << 64) + 7)])
+    def test_seed_outside_64_bits_in_config(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "x.csv"
+        cfg.write_text(f"seed = {seed}\n")
+        self.expect_rejected(capsys, "simulate", "--config", str(cfg), *SMALL,
+                             "--output", str(out), match="seed must be in [0, 2**64)")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["0", str((1 << 64) - 1)])
+    def test_seed_edges_run(self, capsys, seed):
+        assert run_cli("simulate", *SMALL, "--seed", seed) == 0
+        assert capsys.readouterr().out.startswith(CSV_HEADER)
+        assert run_cli("rngtest", "--bits", "1000", "--floats", "0", "--seed", seed) in (0, 1)
+        assert f"seed {seed}:" in capsys.readouterr().out
+
     @pytest.mark.parametrize("bits", ["0", "127", "-5"])
     def test_rngtest_too_few_bits(self, capsys, bits):
         self.expect_rejected(capsys, "rngtest", "--bits", bits, match="at least 128")
@@ -332,6 +373,28 @@ class TestSimulateCsv:
         )
         out = capsys.readouterr().out
         assert out.startswith(CSV_HEADER)
+
+
+class TestGoldenCsv:
+    """SHA-256 of small simulate runs, measured every sweep.
+
+    Any change to these bytes changes the sampler, the measurement or the
+    CSV format.  A change that means to do so updates the pins and says so.
+    """
+
+    GOLDEN = {
+        ("all-up", "1"): "f617a7fe3d61d33f565e0d583a38a46dba789704552295aee284ca93cc9ec5da",
+        ("random", "-0.7"): "a1d0f893b5aa951a5025b2a5974b9a9ef802fb0a70f15a6d9a06d4a98889b84e",
+        ("random", "0"): "f5ccc41dba954103da18e557c65b77bf4c18691acf6fc74ea528e63b9163a519",
+    }
+
+    @pytest.mark.parametrize("init, j", list(GOLDEN))
+    def test_csv_bytes_pinned(self, tmp_path, init, j):
+        out = tmp_path / "run.csv"
+        assert run_cli("simulate", "--m", "12", "--n", "96", "--temperature", "2.0,2.5",
+                       "--sweeps", "20", "--measure-interval", "1", "--seed", "1",
+                       "--init", init, "--j", j, "--output", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN[init, j]
 
 
 class TestValidate:

@@ -2,6 +2,7 @@
 
 import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import multispin.engine as engine_mod
 from multispin.engine import (
     FLIP_BLUE,
     FLIP_RED,
+    INIT_MODES,
     Engine,
     _ROW_BITS,
     _acceptance_masks,
@@ -508,6 +510,71 @@ class TestSweepAndRun:
             solo1.sweep()
         assert (both.state[0] == solo0.state[0]).all()
         assert (both.state[1] == solo1.state[0]).all()
+
+
+class TestEnergy:
+    @pytest.mark.parametrize("dims", [LatticeDims(4, 32), DIMS], ids=str)
+    @pytest.mark.parametrize("init", INIT_MODES)
+    @pytest.mark.parametrize("J", [1.0, 0.0, -0.7])
+    def test_equals_reference_for_every_simulation(self, dims, init, J):
+        eng = Engine(dims, [1.5, 2.0, 2.5, 3.5], seed=19, init=init, coupling=J)
+        for _ in range(3):
+            eng.sweep()
+            want = [energy(eng.lattice(s), J) / dims.sites for s in range(eng.n_sim)]
+            assert eng.energy_per_spin().tolist() == want
+
+    @pytest.mark.parametrize("budget, chunks", [
+        (1, [1] * 13),  # below one simulation: still one per chunk
+        (5 * DIMS.sites - 1, [4, 4, 4, 1]),
+        (13 * DIMS.sites, [13]),
+    ])
+    def test_chunk_edges(self, monkeypatch, budget, chunks):
+        # 13 distinct simulations measured in chunks: a chunk that starts or
+        # ends one simulation off shows at its edges.
+        eng = Engine(DIMS, np.linspace(1.5, 3.5, 13), seed=20, init="random")
+        for _ in range(2):
+            eng.sweep()
+        want = [energy(eng.lattice(s)) / DIMS.sites for s in range(eng.n_sim)]
+        assert len(set(want)) == eng.n_sim
+        seen = []
+        original = engine_mod.unpack
+
+        def recorded(packed):
+            seen.append(packed.words.shape[0])
+            return original(packed)
+
+        monkeypatch.setattr(engine_mod, "unpack", recorded)
+        monkeypatch.setattr(engine_mod, "_MEASURE_SPINS", budget)
+        assert eng.energy_per_spin().tolist() == want
+        assert seen == chunks
+
+    def test_scratch_bounded_by_chunk_not_by_simulations(self):
+        # 64 simulations of 256x256 hold 4 Mi spins; unpacked at once they
+        # would take 4 MiB of int8 alone.
+        eng = Engine(LatticeDims(256, 256), [2.0] * 64, seed=22, init="all-up")
+        eng.energy_per_spin()
+        tracemalloc.start()
+        try:
+            eng.energy_per_spin()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * engine_mod._MEASURE_SPINS
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be in"):
+            Engine(DIMS, [2.0], seed=seed)
+        with pytest.raises(ValueError, match="seed must be in"):
+            Xoshiro256pp(seed)
+
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+    def test_edges_run(self, seed):
+        eng = Engine(DIMS, [2.0], seed=seed)
+        eng.sweep()
+        assert eng.seed == seed and eng.halo_mismatches() == 0
 
 
 class TestRunSimulations:

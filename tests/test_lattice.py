@@ -8,6 +8,7 @@ from multispin.lattice import (
     BOUNDARY_RULES,
     ArrayCode,
     LatticeDims,
+    PackedArrays,
     SpinCoord,
     TC_OVER_J,
     WordCoord,
@@ -211,6 +212,35 @@ class TestPackUnpack:
         assert word == 1 << coord.bit
         total = int(packed.words.sum())
         assert total == word  # exactly one bit set anywhere
+
+    def test_stacked_unpack_equals_single_unpacks(self):
+        rng = np.random.default_rng(8)
+        words = np.stack([pack(random_spins(DIMS, seed)).words for seed in range(6)])
+        halo = np.ones(words.shape[-2:], bool)
+        halo[1:-1, 1:-1] = False
+        words[..., halo] = rng.integers(0, 1 << 16, words[..., halo].shape, dtype=np.uint16)
+        stack = PackedArrays(DIMS, words.reshape(2, 3, *words.shape[1:]))
+        got = unpack(stack)
+        assert got.shape == (2, 3, DIMS.m, DIMS.n) and got.dtype == np.int8
+        for i in range(2):
+            for j in range(3):
+                single = PackedArrays(DIMS, stack.words[i, j])
+                assert (got[i, j] == unpack(single)).all()
+                assert (got[i, j] == random_spins(DIMS, 3 * i + j)).all()
+                for code in ALL_CODES:
+                    assert (stack.interior(code)[i, j] == single.interior(code)).all()
+                    assert (stack.matrix(code)[i, j] == single.matrix(code)).all()
+
+    @pytest.mark.parametrize("shape, dtype", [
+        ((8, 5, 4), np.uint16),
+        ((2, 7, 5, 5), np.uint16),
+        ((5, 5), np.uint16),
+        ((8, 5, 5), np.int16),
+        ((2, 8, 5, 5), np.uint32),
+    ])
+    def test_packed_arrays_rejects_wrong_trailing_shape_or_dtype(self, shape, dtype):
+        with pytest.raises(ValueError, match="expected uint16 words"):
+            PackedArrays(DIMS, np.zeros(shape, dtype))
 
     def test_bad_values_rejected(self):
         spins = np.ones((12, 96), dtype=np.int8)
