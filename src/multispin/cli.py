@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -346,7 +347,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     sizes.append(cfg.n_sim)
     print(f"# {dims.m}x{dims.n}, T={temperature}, {cfg.sweeps} timed sweeps "
           f"(+{cfg.warmup} warmup; set-up timed), threads={cfg.effective_threads()}")
-    print(f"{'n_sim':>6} {'attempts':>14} {'flips/ns':>12} {'T_iter (ms)':>12} {'sweeps/s':>10}")
+    print("# peak RSS is the process's peak resident set so far (ru_maxrss), not the row's own")
+    print(f"{'n_sim':>6} {'attempts':>14} {'flips/ns':>12} {'T_iter (ms)':>12} {'sweeps/s':>10} "
+          f"{'peak RSS (MB)':>14}")
     for n_sim in sizes:
         temps = (temperature,) * n_sim
         run_simulations(dims, temps, cfg.seed, cfg.warmup,
@@ -363,8 +366,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise AssertionError(f"attempt counter {attempts} != {expected}")
         flip_rate = attempts / (elapsed * 1e9)
         t_iter_ms = dims.sites * n_sim / flip_rate / 1e6
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
         print(f"{n_sim:6d} {attempts:14d} {flip_rate:12.6f} {t_iter_ms:12.4f} "
-              f"{cfg.sweeps / elapsed:10.2f}")
+              f"{cfg.sweeps / elapsed:10.2f} {peak_mb:14.1f}")
     print("# host-hardware numbers for methodological comparison only; the flip "
           "rates of purpose-built accelerators (thousands of flips/ns across "
           "hundreds of parallel simulations) are not reproducible at desk scale")
@@ -495,6 +499,31 @@ def _selftest_checks():
                 return f"{bad} spins differ from k < limit[code] at J = {j}"
         return None
 
+    def check_tiles():
+        # The flips step one tile of simulations at a time; tiles of 4 over 13
+        # simulations must equal 13 single-simulation engines.
+        dims = Dims(4, 32)
+        temps = np.linspace(1.5, 3.5, 13)
+        budget = engine_mod._TILE_STREAMS
+        engine_mod._TILE_STREAMS = 4 * dims.cells * dims.words
+        try:
+            tiled = Engine(dims, temps, seed=12, init="random")
+        finally:
+            engine_mod._TILE_STREAMS = budget
+        if [b - a for a, b in tiled._tiles] != [4, 4, 4, 1]:
+            return f"tiles {tiled._tiles} are not 4, 4, 4, 1 simulations"
+        solos = [Engine(dims, [t], seed=12, init="random", sim_offset=s)
+                 for s, t in enumerate(temps)]
+        for _ in range(20):
+            tiled.sweep()
+            for solo in solos:
+                solo.sweep()
+        bad = int((tiled.state != np.concatenate([solo.state for solo in solos])).sum())
+        flips = sum(solo.flips for solo in solos)
+        if bad or tiled.flips != flips:
+            return f"{bad} words and {tiled.flips} != {flips} flips differ from single engines"
+        return None
+
     def check_halos():
         dims = Dims(12, 96)
         rng = np.random.default_rng(6)
@@ -538,6 +567,7 @@ def _selftest_checks():
         ("half-adder place values (all 16 lane patterns)", check_adder),
         ("neighbor codes vs brute force (12x96)", check_neighbor_codes),
         ("mask acceptance vs k < limit[code] (J=+-1)", check_mask_acceptance),
+        ("tiled flips vs 13 single engines (4x32, k=4)", check_tiles),
         ("halo audit over sweeps (12x96)", check_halos),
         ("100-sweep oracle equivalence (12x96)", lambda: check_equivalence(False)),
         ("fault injection detected (corrupted adder)", lambda: check_equivalence(True)),

@@ -189,6 +189,12 @@ def record_engine_randoms(engine, n_sweeps: int) -> RandomMap:
     color phase one ``unit_block(64)``, whose row 16q + 4i + ii gates bit
     4ii + i of quarter q's target ``ALL_CODES[4*phase + q]``.  Each layer
     holds exactly one entry per spin.
+
+    The flips instead take one ``unit_block(16)`` per quarter and tile.  A
+    stream's sequence does not depend on which column range steps it, and
+    per phase the flips step each stream 8 outputs for quarter 0, then 8
+    for quarter 1, and so on, so quarter q's block is rows 16q to 16q + 15
+    of the single 64-row block taken here.
     """
     if engine.n_sim != 1:
         raise ValueError("draw recording requires a single-simulation engine")

@@ -121,30 +121,38 @@ def _step_ints(state: list, count: int) -> list:
     return out
 
 
-def _step_arrays(state: list, count: int, out: np.ndarray | None = None) -> np.ndarray:
+_SHIFTS = tuple(np.uint64(k) for k in (23, 41, 17, 45, 19))  # xoshiro256++ shift counts
+_HIGH_HALF = np.uint64(32)  # unit_block: the high draw starts at bit 32 of an output
+_DRAW_BITS = np.uint32(_MANTISSA)  # unit_block: the 23 bits of a half that make its draw
+
+
+def _step_arrays(state: list, count: int, out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
     """(count, streams) outputs of many streams as uint64 arrays; advances ``state`` in place.
 
-    ``state`` holds four uint64 arrays, one per state word; uint64 arithmetic
-    wraps modulo 2**64, so no masks are needed.  The outputs go into ``out``
-    when given (a (count, streams) uint64 array), else into a new array.
+    ``state`` holds four uint64 arrays (or views), one per state word; uint64
+    arithmetic wraps modulo 2**64, so no masks are needed.  The outputs go
+    into ``out`` when given (a (count, streams) uint64 array), else into a
+    new array; ``scratch``, a uint64 array shaped like one state word, is the
+    step's only temporary and is allocated when not given.
     """
     s0, s1, s2, s3 = state
     if out is None:
         out = np.empty((count, s0.size), dtype=np.uint64)
-    x, t = np.empty_like(s0), np.empty_like(s0)
-    c23, c41, c17, c45, c19 = (np.uint64(k) for k in (23, 41, 17, 45, 19))
+    x = np.empty_like(s0) if scratch is None else scratch
+    c23, c41, c17, c45, c19 = _SHIFTS
     for row in out:
         np.add(s0, s3, out=x)
         np.left_shift(x, c23, out=row)
         x >>= c41
         row |= x
         row += s0
-        np.left_shift(s1, c17, out=t)
+        np.left_shift(s1, c17, out=x)  # t, the old s1 << 17
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
-        s2 ^= t
+        s2 ^= x
         np.left_shift(s3, c45, out=x)
         s3 >>= c19
         s3 |= x
@@ -195,17 +203,21 @@ class Xoshiro256pp:
 class XoshiroStreams:
     """Many xoshiro256++ streams advanced in lockstep on uint64 arrays.
 
-    Column j of every returned block belongs to stream ``first_stream + j``
+    Column j of every full-width block belongs to stream ``first_stream + j``
     and is that stream's own sequence, so a consumer bound to one column
-    sees the same draws no matter how many streams run beside it or how the
-    streams are partitioned across workers.  A block row is one array step of
-    every stream, so the numpy calls per block do not grow with the streams.
+    sees the same draws no matter how many streams run beside it, how the
+    streams are partitioned across workers, or which column ranges
+    ``unit_block`` steps them in.  A block row is one array step of every
+    stream it covers, so the numpy calls per block do not grow with the
+    streams.
 
     ``unit_block`` takes two draws from each output and writes them into a
     step buffer and a draw buffer that the set keeps and reuses, so a draw
     block touches no fresh pages: at 8192 streams, new arrays on every call
     took about 990 minor page faults per call and more time than the halved
-    stepping saved.
+    stepping saved.  The buffers grow to the largest block asked for, so a
+    caller that steps a wide set one column range at a time (the engine's
+    flip tiles) holds one range's block, not the whole set's.
     """
 
     def __init__(self, master_seed: int, n_streams: int, first_stream: int = 0):
@@ -215,31 +227,40 @@ class XoshiroStreams:
         self.n_streams = int(n_streams)
         self.first_stream = int(first_stream)
         self._s = list(stream_states(self.master_seed, self.first_stream, self.n_streams))
-        self._raw = np.empty((0, self.n_streams), dtype=np.uint64)  # unit_block step buffer
-        self._k = np.empty((0, 2, self.n_streams), dtype=np.uint32)  # unit_block draw buffer
+        # unit_block step temporary; only the widest range stepped touches its pages
+        self._x = np.empty(self.n_streams, dtype=np.uint64)
+        self._raw = np.empty(0, dtype=np.uint64)  # unit_block step buffer
+        self._k = np.empty(0, dtype=np.uint32)  # unit_block draw buffer
 
     def raw_block(self, count: int) -> np.ndarray:
         """(count, n_streams) uint64 block; row k is every stream's k-th output."""
         return _step_arrays(self._s, count)
 
-    def unit_block(self, count: int) -> np.ndarray:
-        """(count, n_streams) uint32 block of k; the draw is k * 2**-23.
+    def unit_block(self, count: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """(count, hi - lo) uint32 block of k over streams [lo, hi); the draw is k * 2**-23.
 
-        Each stream steps ``ceil(count / 2)`` times.  Row ``2r`` is bits 32-54
-        of output r (the draw ``next_unit_float`` makes) and row ``2r + 1`` is
-        bits 0-22 of the same output; an odd count drops the last low half.
-        The block lives in a reused buffer: it is valid until the next call.
+        Only the streams in the column range ``[lo, hi)`` (all of them by
+        default) step, each ``ceil(count / 2)`` times; column j is stream
+        ``first_stream + lo + j``.  Row ``2r`` is bits 32-54 of output r (the
+        draw ``next_unit_float`` makes) and row ``2r + 1`` is bits 0-22 of
+        the same output; an odd count drops the last low half.  The block
+        lives in a reused buffer: it is valid until the next call.
         """
-        rows = -(-count // 2)
-        if self._raw.shape[0] < rows:
-            self._raw = np.empty((rows, self.n_streams), dtype=np.uint64)
-            self._k = np.empty((rows, 2, self.n_streams), dtype=np.uint32)
-        raw = _step_arrays(self._s, rows, out=self._raw[:rows])
-        k = self._k[:rows]
-        np.right_shift(raw, np.uint64(32), out=k[:, 0], casting="unsafe")
+        hi = self.n_streams if hi is None else hi
+        if not 0 <= lo < hi <= self.n_streams:
+            raise ValueError(f"stream range [{lo}, {hi}) outside [0, {self.n_streams})")
+        rows, width = -(-count // 2), hi - lo
+        size = rows * width
+        if self._raw.size < size:
+            self._raw = np.empty(size, dtype=np.uint64)
+            self._k = np.empty(2 * size, dtype=np.uint32)
+        raw = _step_arrays([s[lo:hi] for s in self._s], rows,
+                           out=self._raw[:size].reshape(rows, width), scratch=self._x[:width])
+        k = self._k[: 2 * size].reshape(rows, 2, width)
+        np.right_shift(raw, _HIGH_HALF, out=k[:, 0], casting="unsafe")
         np.copyto(k[:, 1], raw, casting="unsafe")
-        k &= np.uint32(_MANTISSA)
-        return k.reshape(2 * rows, self.n_streams)[:count]
+        k &= _DRAW_BITS
+        return k.reshape(2 * rows, width)[:count]
 
 
 def shape_unit_float(raw32):

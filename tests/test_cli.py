@@ -434,6 +434,9 @@ class TestBench:
         rows = [l.split() for l in out.splitlines() if l and l[0] == " " and l.strip()[0].isdigit()]
         attempts = [int(r[1]) for r in rows]
         assert attempts[1] == 2 * attempts[0] and attempts[2] == 2 * attempts[1]
+        # the process peak so far never falls down the ladder
+        peaks = [float(r[5]) for r in rows]
+        assert "peak RSS (MB)" in out and 0 < peaks[0] <= peaks[1] <= peaks[2]
         assert "not reproducible" in out
 
     @pytest.mark.parametrize("threads", [1, 2])

@@ -229,35 +229,40 @@ class TestAcceptanceMasks:
             _acceptance_masks(limits)
 
     @pytest.mark.parametrize("J", [1.0, 0.0, -1.0])
-    def test_mask_path_flips_what_limits_accept(self, J):
-        # Per quarter, on the same draws and codes: k < limit[code], gathered directly.
+    def test_mask_path_flips_what_limits_accept(self, monkeypatch, J):
+        # Per quarter and tile, on the same draws and codes: k < limit[code],
+        # gathered directly.  Tiles of two simulations split the three.
         temps = (1e-6, TC_OVER_J, 1e6)
+        monkeypatch.setattr(engine_mod, "_TILE_STREAMS", 2 * DIMS.cells * DIMS.words)
         eng = Engine(DIMS, temps, seed=41, coupling=J)
+        assert eng._tiles == [(0, 2), (2, 3)]
         limits = _draw_limits(np.stack([build_exp_table(t, J) for t in temps]))
-        sims = np.arange(eng.n_sim)[:, None, None]
         weights = np.array([1 << b for b in _ROW_BITS], np.uint16).reshape(16, 1, 1, 1)
         flip_quarter = eng._flip_quarter
         checked = []
 
-        def direct_check(target, lateral, vertical, up, right, draws):
-            codes = _quarter_codes(eng.state, target, lateral, vertical, up, right,
+        def direct_check(a, b, target, lateral, vertical, up, right, draws):
+            codes = _quarter_codes(eng.state[a:b], target, lateral, vertical, up, right,
                                    out=np.empty(draws.shape, np.uint16))
+            sims = np.arange(a, b)[:, None, None]
             accepted = (draws < limits[sims, codes]).astype(np.uint16)
             want = np.bitwise_or.reduce(accepted * weights, axis=0)
             before, flips = eng.state.copy(), eng.flips
-            flip_quarter(target, lateral, vertical, up, right, draws)
+            flip_quarter(a, b, target, lateral, vertical, up, right, draws)
             changed = eng.state ^ before
-            assert (changed[:, target.index, 1:-1, 1:-1] == want).all()
-            changed[:, target.index, 1:-1, 1:-1] = 0
+            assert (changed[a:b, target.index, 1:-1, 1:-1] == want).all()
+            changed[a:b, target.index, 1:-1, 1:-1] = 0
             assert not changed.any()
             assert eng.flips - flips == int(np.bitwise_count(want).sum())
-            checked.append(want)
+            checked.append((a, target, want))
 
         eng._flip_quarter = direct_check
         for _ in range(3):
             eng.sweep()
-        assert len(checked) == 24
-        flipped = np.stack(checked)
+        # every quarter of every tile, in tile-major order within each phase
+        assert [(a, t) for a, t, _ in checked] == 3 * [
+            (a, q[0]) for quarters in (FLIP_RED, FLIP_BLUE) for a in (0, 2) for q in quarters]
+        flipped = np.concatenate([w for _, _, w in checked])
         # at J = 0 every flip is free, so every spin flips
         assert flipped.any() and flipped.all() == (J == 0)
 
@@ -341,7 +346,7 @@ class TestFlips:
         eng = Engine.from_lattices([spins], [2.0], seed=3)
         set_limits(eng, np.repeat([1 << 21, 1 << 22], 8))
         monkeypatch.setattr(eng.streams, "unit_block",
-                            lambda count: np.full((count, eng.streams.n_streams), k, np.uint32))
+                            lambda count, lo, hi: np.full((count, hi - lo), k, np.uint32))
         eng.sweep()
         want = {"flipped": -spins, "down": np.full_like(spins, -1), "same": spins}[after]
         assert (eng.lattice(0) == want).all()
@@ -356,21 +361,26 @@ class TestFlips:
         changed = sum(int((eng.lattice(s) != before[s]).sum()) for s in range(eng.n_sim))
         assert eng.flips - flips == changed > 0
 
-    def test_one_draw_block_per_phase(self, monkeypatch):
-        # perfbench/tracer.py times unit_block by name and divides by sweeps
-        sizes = []
+    @pytest.mark.parametrize("tile_sims, tiles", [(1, 3), (3, 1)])
+    def test_one_draw_block_per_quarter_per_tile(self, monkeypatch, tile_sims, tiles):
+        # perfbench/tracer.py times unit_block by name and divides its sizes by sweeps
+        ranges = []
         unit_block = XoshiroStreams.unit_block
 
-        def counted(self, count):
-            block = unit_block(self, count)
-            sizes.append(block.size)
+        def counted(self, count, lo=0, hi=None):
+            block = unit_block(self, count, lo, hi)
+            ranges.append((count, lo, hi, block.size))
             return block
 
         monkeypatch.setattr(XoshiroStreams, "unit_block", counted)
-        eng = Engine(DIMS, [2.0, 2.5], seed=17, init="random")
+        monkeypatch.setattr(engine_mod, "_TILE_STREAMS", tile_sims * DIMS.cells * DIMS.words)
+        eng = Engine(DIMS, [2.0, 2.5, 3.0], seed=17, init="random")
         eng.sweep()
-        assert len(sizes) == 2
-        assert sum(sizes) == DIMS.sites * eng.n_sim
+        width = tile_sims * DIMS.cells * DIMS.words
+        per_phase = [(16, t * width, (t + 1) * width, 16 * width)
+                     for t in range(tiles) for _ in range(4)]
+        assert ranges == 2 * per_phase
+        assert sum(size for *_, size in ranges) == DIMS.sites * eng.n_sim
 
     def test_ground_state_frozen_at_low_temperature(self):
         eng = Engine(DIMS, [1e-6], seed=5, init="all-up")
@@ -510,6 +520,31 @@ class TestSweepAndRun:
             solo1.sweep()
         assert (both.state[0] == solo0.state[0]).all()
         assert (both.state[1] == solo1.state[0]).all()
+
+
+class TestTiles:
+    @pytest.mark.parametrize("init", INIT_MODES)
+    @pytest.mark.parametrize("tile_sims, sizes", [
+        (1, [1] * 13),
+        (4, [4, 4, 4, 1]),
+        (13, [13]),
+    ], ids=("k1", "k4", "k13"))
+    def test_tiled_engine_equals_singletons(self, monkeypatch, init, tile_sims, sizes):
+        # 13 distinct simulations flipped in tiles: a tile that starts or ends
+        # one simulation or one stream off shows at its edges.
+        temps = np.linspace(1.5, 3.5, 13)
+        monkeypatch.setattr(engine_mod, "_TILE_STREAMS", tile_sims * DIMS.cells * DIMS.words)
+        tiled = Engine(DIMS, temps, seed=23, init=init)
+        assert [b - a for a, b in tiled._tiles] == sizes
+        solos = [Engine(DIMS, [t], seed=23, init=init, sim_offset=s)
+                 for s, t in enumerate(temps)]
+        traj = tiled.run(6, measure_interval=2)
+        solo_trajs = [solo.run(6, measure_interval=2) for solo in solos]
+        assert (tiled.state == np.concatenate([solo.state for solo in solos])).all()
+        assert tiled.flips == sum(solo.flips for solo in solos)
+        assert (traj.abs_m == np.hstack([t.abs_m for t in solo_trajs])).all()
+        assert (traj.energy == np.hstack([t.energy for t in solo_trajs])).all()
+        assert len(set(traj.energy[-1])) == tiled.n_sim
 
 
 class TestEnergy:

@@ -162,6 +162,22 @@ class TestStreamSet:
         assert np.shares_memory(first, second)
         assert first.shape == (64, 40) and first.dtype == np.uint32
 
+    @pytest.mark.parametrize("lo, hi", [(0, 40), (0, 1), (13, 27), (39, 40)])
+    def test_unit_block_range_is_full_block_columns(self, lo, hi):
+        ranged = XoshiroStreams(8, 40, first_stream=3)
+        full = XoshiroStreams(8, 40, first_stream=3)
+        for _ in range(2):
+            assert (ranged.unit_block(16, lo, hi) == full.unit_block(16)[:, lo:hi]).all()
+        # streams outside the range did not step
+        rest = np.r_[0:lo, hi:40]
+        fresh = XoshiroStreams(8, 40, first_stream=3).unit_block(16)[:, rest].copy()
+        assert (ranged.unit_block(16)[:, rest] == fresh).all()
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 4), (3, 3), (5, 2), (0, 41)])
+    def test_unit_block_rejects_bad_range(self, lo, hi):
+        with pytest.raises(ValueError, match="stream range"):
+            XoshiroStreams(8, 40).unit_block(16, lo, hi)
+
     def test_offset_slices_reproduce_full_run(self):
         full = XoshiroStreams(13, 6).unit_block(5)
         left = XoshiroStreams(13, 2, first_stream=0).unit_block(5)
