@@ -9,10 +9,11 @@ temperature that is not finite and positive, a non-finite J, a validate
 run too short to analyse, with a tolerance or cap that is not finite and
 non-negative or with J <= 0, an rngtest bit count below the battery's
 minimum, an unknown init mode, a seed outside [0, 2**64), an ``output``
-config key given to a command other than simulate) exits 2 before any
-output.  The simulate ``--output`` file is opened before the run: an
-unwritable path exits 2 before any sweep, and a failed run leaves the file
-empty.  Trajectories are written as CSV with the header
+config key given to a command other than simulate, a config value or
+``MULTISPIN_THREADS`` that does not convert, named by its source) exits 2
+before any output.  The simulate ``--output`` file is opened before the
+run: an unwritable path exits 2 before any sweep, and a failed run leaves
+the file empty.  Trajectories are written as CSV with the header
 ``sweep,sim,temperature,abs_magnetization,energy_per_spin``, floats printed
 with 9 significant digits, '.' decimals and plain newlines.
 """
@@ -141,10 +142,16 @@ def build_config(args: argparse.Namespace) -> SimConfig:
                 raise ValueError(f"config key 'output' is read by simulate only; "
                                  f"{args.command} writes no CSV")
             kind = parse_temperatures if key == "temperature" else kinds[key]
-            setattr(cfg, key, kind(value))
+            try:
+                setattr(cfg, key, kind(value))
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: config key {key!r}: {exc}") from None
     env_threads = os.environ.get(ENV_THREADS)
     if env_threads:
-        cfg.threads = int(env_threads)
+        try:
+            cfg.threads = int(env_threads)
+        except ValueError as exc:
+            raise ValueError(f"{ENV_THREADS}: {exc}") from None
     for key in kinds:
         value = getattr(args, key, None)
         if value is None:
@@ -366,7 +373,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise AssertionError(f"attempt counter {attempts} != {expected}")
         flip_rate = attempts / (elapsed * 1e9)
         t_iter_ms = dims.sites * n_sim / flip_rate / 1e6
-        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+        # ru_maxrss is KiB on Linux; MB here is 10**6 bytes, as in perfbench's peak_rss_mb
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
         print(f"{n_sim:6d} {attempts:14d} {flip_rate:12.6f} {t_iter_ms:12.4f} "
               f"{cfg.sweeps / elapsed:10.2f} {peak_mb:14.1f}")
     print("# host-hardware numbers for methodological comparison only; the flip "

@@ -122,10 +122,15 @@ def build_exp_table(T: float, J: float = 1.0) -> np.ndarray:
 
     Flipping a spin of sign s with u of 4 neighbors up costs
     ``2*J*s*(2u - 4)``; the entry is ``min(1, exp(-cost/T))``.  Codes with
-    an impossible up-count (5, 6, 7) are never read and stay 0.
+    an impossible up-count (5, 6, 7) are never read and stay 0.  T must be
+    finite and positive and J finite, else ValueError: a NaN entry (from a
+    NaN input, or an infinite J times a zero up-count term) would cast to a
+    meaningless draw limit and the engine would run on.
     """
-    if T <= 0:
-        raise ValueError("temperature must be positive")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"temperature must be finite and positive, got {T}")
+    if not math.isfinite(J):
+        raise ValueError(f"coupling J must be finite, got {J}")
     table = np.zeros(16, dtype=np.float64)
     for own in (0, 1):
         sigma = 2 * own - 1

@@ -11,7 +11,9 @@ the mantissa of a binary32 in [1, 2) and 1.0 is subtracted, yielding
 The quality battery implements the frequency (monobit), block-frequency,
 runs, longest-run-of-ones and cumulative-sums tests at significance 0.01,
 plus the unit-float frequency histogram, the lag-1 joint distribution, and
-median thresholding of floats back into a testable bit stream.
+median thresholding of floats back into a testable bit stream.  The tests
+that need a special function import it from ``scipy.special`` on their
+first call, so a process that only draws (every engine) never loads scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erfc, gammaincc, ndtr
 
 __all__ = [
     "ALPHA",
@@ -309,6 +310,8 @@ def _as_bits(bits, minimum: int, test: str) -> np.ndarray:
 
 def monobit_test(bits) -> TestReport:
     """Frequency test: are ones and zeros balanced overall?"""
+    from scipy.special import erfc
+
     b = _as_bits(bits, 100, "monobit test")
     n = b.size
     s = 2.0 * int(b.sum()) - n
@@ -322,6 +325,8 @@ def block_frequency_test(bits, block_size: int | None = None) -> TestReport:
     With no explicit block size, picks the smallest power of two that keeps
     the block count at or below 100 (and at least 128 bits per block).
     """
+    from scipy.special import gammaincc
+
     b = _as_bits(bits, 100, "block frequency test")
     n = b.size
     if block_size is None:
@@ -339,6 +344,8 @@ def block_frequency_test(bits, block_size: int | None = None) -> TestReport:
 
 def runs_test(bits) -> TestReport:
     """Runs test: is the number of unbroken runs consistent with independence?"""
+    from scipy.special import erfc
+
     b = _as_bits(bits, 100, "runs test")
     n = b.size
     pi = float(b.mean())
@@ -376,6 +383,8 @@ def _longest_run_per_block(blocks: np.ndarray) -> np.ndarray:
 
 def longest_run_test(bits) -> TestReport:
     """Longest run of ones in fixed-size blocks against tabulated frequencies."""
+    from scipy.special import gammaincc
+
     b = _as_bits(bits, MIN_BATTERY_BITS, "longest run test")
     n = b.size
     for min_n, block_size, cats, pi in _LONGEST_RUN_TIERS:
@@ -397,6 +406,8 @@ def longest_run_test(bits) -> TestReport:
 
 def cusum_test(bits, reverse: bool = False) -> TestReport:
     """Cumulative-sums test: maximal random-walk excursion of the +/-1 stream."""
+    from scipy.special import ndtr
+
     b = _as_bits(bits, 100, "cumulative sums test")
     n = b.size
     steps = 2.0 * b.astype(np.float64) - 1.0
@@ -483,6 +494,8 @@ class JointReport:
 
 def lag1_joint(floats, bins: int = 100) -> JointReport:
     """Joint distribution of (x_k, x_{k+1}) pairs over a bins x bins grid."""
+    from scipy.special import gammaincc
+
     x = np.asarray(floats, dtype=np.float64).ravel()
     if x.size < 2:
         raise ValueError("lag-1 joint distribution needs at least 2 samples")

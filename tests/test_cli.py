@@ -1,6 +1,12 @@
 """Command-line surface: config handling, CSV schema, exit codes."""
 
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +22,7 @@ from multispin.cli import (
 )
 
 SMALL = ("--m", "12", "--n", "96", "--sweeps", "10", "--measure-interval", "10")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv, capsys=None):
@@ -146,6 +153,17 @@ class TestInputHardening:
     def test_threads_below_one_env(self, capsys, monkeypatch):
         monkeypatch.setenv(ENV_THREADS, "-3")
         self.expect_rejected(capsys, "simulate", *SMALL, match="threads must be at least 1")
+
+    def test_non_integer_env_threads_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv(ENV_THREADS, "abc")
+        self.expect_rejected(capsys, "simulate", *SMALL, match=f"{ENV_THREADS}: invalid literal")
+
+    def test_non_integer_config_value_names_file_and_key(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(ENV_THREADS, raising=False)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = two\n")
+        self.expect_rejected(capsys, "simulate", "--config", str(cfg), *SMALL,
+                             match=f"{cfg}: config key 'threads': invalid literal")
 
     @pytest.mark.parametrize("spec", ["nan", "inf", "2.0,-inf", "0"])
     def test_bad_temperature(self, capsys, spec):
@@ -439,6 +457,14 @@ class TestBench:
         assert "peak RSS (MB)" in out and 0 < peaks[0] <= peaks[1] <= peaks[2]
         assert "not reproducible" in out
 
+    def test_peak_rss_in_million_bytes(self, capsys, monkeypatch):
+        # ru_maxrss is KiB on Linux; 100000 KiB is 102.4 MB of 10**6 bytes.
+        monkeypatch.setattr(cli.resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=100000))
+        assert run_cli("bench", "--m", "12", "--n", "96", "--sweeps", "1", "--warmup", "0") == 0
+        rows = [l.split() for l in capsys.readouterr().out.splitlines()
+                if l and l[0] == " " and l.strip()[0].isdigit()]
+        assert [r[5] for r in rows] == ["102.4"]
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_attempt_counts_at_thread_counts(self, capsys, threads):
         code = run_cli(
@@ -491,3 +517,42 @@ class TestSelftest:
         second = capsys.readouterr().out
         strip_times = lambda s: [l.split()[:-2] for l in s.splitlines()]
         assert strip_times(first) == strip_times(second)
+
+
+class TestImportFootprint:
+    """simulate, validate, bench and selftest never need scipy.
+
+    Only the randomness battery (rngtest) calls scipy.special, and it
+    imports it on first use; ``TestRngTest`` covers that path.
+    """
+
+    SCRIPT = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None  # any scipy import now raises ImportError
+        from multispin.cli import main
+        small = ["--m", "12", "--n", "96"]
+        runs = [
+            ["simulate", *small, "--sweeps", "20"],
+            # all-up: a random start at 12x96 and T = 1.5 can freeze into stripes
+            ["validate", *small, "--temperature", "1.5", "--sweeps", "400",
+             "--measure-interval", "10", "--init", "all-up"],
+            ["bench", *small, "--sweeps", "5", "--n-sim", "2"],
+            ["selftest"],
+        ]
+        for argv in runs:
+            code = main(argv)
+            if code != 0:
+                sys.exit(f"{argv[0]} exited {code}")
+        # numpy loads these lazily; importing scipy.special would pull them in
+        loaded = sorted(m for m in sys.modules if m.startswith(("numpy.testing", "numpy.f2py")))
+        if loaded:
+            sys.exit(f"loaded {loaded}")
+    """)
+
+    def test_commands_run_without_scipy(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        env.pop(ENV_THREADS, None)
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT], capture_output=True, text=True,
+                              env=env, cwd=tmp_path, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]

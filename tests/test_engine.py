@@ -75,10 +75,19 @@ class TestExpTable:
         assert 0 < table[1] < 1 and 0 < table[0] < 1
 
     def test_bad_temperature(self):
-        with pytest.raises(ValueError):
-            build_exp_table(0.0)
-        with pytest.raises(ValueError):
-            build_exp_table(-2.0)
+        for T in (0.0, -2.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="temperature must be finite and positive"):
+                build_exp_table(T)
+
+    @pytest.mark.parametrize("J", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coupling(self, J):
+        with pytest.raises(ValueError, match="coupling J must be finite"):
+            build_exp_table(2.0, J)
+
+    def test_engine_rejects_nan_temperature(self):
+        # a NaN table entry would cast to draw limit 0 and the engine would run on
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            Engine(LatticeDims(4, 32), [math.nan], 1)
 
     def test_integer_limits_equal_float_comparison(self):
         k = np.arange(1 << 23, dtype=np.uint32)
