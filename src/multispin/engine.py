@@ -50,6 +50,7 @@ from .lattice import (
     array_view,
     canonical_halo_source,
     check_spins,
+    check_temperature,
     pack,
     unpack,
 )
@@ -127,10 +128,7 @@ def build_exp_table(T: float, J: float = 1.0) -> np.ndarray:
     NaN input, or an infinite J times a zero up-count term) would cast to a
     meaningless draw limit and the engine would run on.
     """
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"temperature must be finite and positive, got {T}")
-    if not math.isfinite(J):
-        raise ValueError(f"coupling J must be finite, got {J}")
+    check_temperature(T, J)
     table = np.zeros(16, dtype=np.float64)
     for own in (0, 1):
         sigma = 2 * own - 1

@@ -42,6 +42,7 @@ __all__ = [
     "pack",
     "unpack",
     "check_spins",
+    "check_temperature",
     "canonical_halo_source",
     "onsager_magnetization",
     "neighbor_indices",
@@ -248,6 +249,18 @@ def check_spins(spins: np.ndarray) -> LatticeDims:
     return dims
 
 
+def check_temperature(T: float, J: float = 1.0) -> None:
+    """ValueError unless T is finite and positive and the coupling J finite.
+
+    ``T <= 0`` alone lets NaN through, and a NaN or infinite input turns a
+    Metropolis ratio or the Onsager curve into NaN or a silent 0.
+    """
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"temperature must be finite and positive, got {T}")
+    if not math.isfinite(J):
+        raise ValueError(f"coupling J must be finite, got {J}")
+
+
 def pack(spins: np.ndarray) -> PackedArrays:
     """Pack a +/-1 lattice into the eight word matrices; halos start zeroed."""
     spins = np.asarray(spins)
@@ -340,8 +353,7 @@ def onsager_magnetization(T: float, J: float = 1.0) -> float:
     ``TC_OVER_J * J`` (about 2.269185 J), and exactly 0 at or above it.
     The curve holds for a ferromagnet only, so J must be positive.
     """
-    if T <= 0:
-        raise ValueError("temperature must be positive")
+    check_temperature(T, J)
     if J <= 0:
         raise ValueError(f"the Onsager curve needs a ferromagnetic coupling J > 0, got {J}")
     bracket = 1.0 - math.sinh(2.0 * J / T) ** -4

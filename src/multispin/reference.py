@@ -21,6 +21,7 @@ from .lattice import (
     LatticeDims,
     array_view,
     check_spins,
+    check_temperature,
     neighbor_indices,
 )
 
@@ -46,8 +47,7 @@ def acceptance_lut(T: float, J: float = 1.0) -> np.ndarray:
     [0, 1) and a strict ``draw < ratio`` comparison that is indistinguishable
     from the unclamped exponential and cannot overflow.
     """
-    if T <= 0:
-        raise ValueError("temperature must be positive")
+    check_temperature(T, J)
     lut = np.empty((2, 9), dtype=np.float64)
     for up, sigma in ((0, -1), (1, 1)):
         for s in range(-4, 5):
@@ -62,6 +62,7 @@ def single_spin_sweep(spins: np.ndarray, T: float, rng, J: float = 1.0) -> np.nd
     ``rng`` supplies one unit float per site via ``next_unit_float``.
     """
     dims = check_spins(spins)
+    lut = acceptance_lut(T, J)
     m, n = dims.m, dims.n
     for idx in range(dims.sites):
         c, r = divmod(idx, n)
@@ -71,9 +72,7 @@ def single_spin_sweep(spins: np.ndarray, T: float, rng, J: float = 1.0) -> np.nd
             + int(spins[c, (r + 1) % n])
             + int(spins[c, (r - 1) % n])
         )
-        delta_e = 2.0 * J * int(spins[c, r]) * nb
-        ratio = 1.0 if delta_e <= 0 else math.exp(-delta_e / T)
-        if rng.next_unit_float() < ratio:
+        if rng.next_unit_float() < lut[int(spins[c, r] > 0), nb + 4]:
             spins[c, r] = -spins[c, r]
     return spins
 

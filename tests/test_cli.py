@@ -165,9 +165,11 @@ class TestInputHardening:
         self.expect_rejected(capsys, "simulate", "--config", str(cfg), *SMALL,
                              match=f"{cfg}: config key 'threads': invalid literal")
 
-    @pytest.mark.parametrize("spec", ["nan", "inf", "2.0,-inf", "0"])
+    @pytest.mark.parametrize("spec", ["nan", "inf", "2.0,-inf", "0",
+                                      "1:inf:1", "-inf:1:1", "1:nan:1"])
     def test_bad_temperature(self, capsys, spec):
-        self.expect_rejected(capsys, "simulate", *SMALL, "--temperature", spec,
+        # one token, so argparse takes "-inf:1:1" as a value, not an option
+        self.expect_rejected(capsys, "simulate", *SMALL, f"--temperature={spec}",
                              match="temperatures must be finite and positive")
 
     @pytest.mark.parametrize("j", ["nan", "inf"])
@@ -517,6 +519,33 @@ class TestSelftest:
         second = capsys.readouterr().out
         strip_times = lambda s: [l.split()[:-2] for l in s.splitlines()]
         assert strip_times(first) == strip_times(second)
+
+
+class TestSelftestPlantedFaults:
+    """A planted fault fails exactly the selftest lines that should see it."""
+
+    AUDITS = {"replay, halo, neighbor audit (12x96, J=+1)",
+              "replay, halo, neighbor audit (12x96, J=-1)"}
+
+    def failing_lines(self, capsys):
+        assert run_cli("selftest") == 1
+        lines = capsys.readouterr().out.splitlines()
+        names = {name for name, _ in cli._selftest_checks()}
+        assert {line[:48].strip() for line in lines[:-1]} == names
+        return {line[:48].strip() for line in lines[:-1] if "FAIL" in line}
+
+    def test_wrong_neighbor_codes(self, capsys, monkeypatch):
+        neighbor_codes = cli.neighbor_codes
+        monkeypatch.setattr(cli, "neighbor_codes", lambda packed: neighbor_codes(packed) ^ 1)
+        assert self.failing_lines(capsys) == self.AUDITS
+
+    def test_coupling_sign_dropped(self, capsys, monkeypatch):
+        from multispin import engine as engine_mod
+
+        build_exp_table = engine_mod.build_exp_table
+        monkeypatch.setattr(engine_mod, "build_exp_table",
+                            lambda T, J=1.0: build_exp_table(T, abs(J)))
+        assert self.failing_lines(capsys) == {"replay, halo, neighbor audit (12x96, J=-1)"}
 
 
 class TestImportFootprint:

@@ -1,5 +1,7 @@
 """Geometry, classification, packing, halo map, and the closed-form curve."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -338,6 +340,16 @@ class TestOnsager:
     def test_nonpositive_coupling_rejected(self, J):
         with pytest.raises(ValueError, match="J > 0"):
             onsager_magnetization(2.0, J=J)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_non_finite_temperature_rejected(self, T):
+        with pytest.raises(ValueError, match="temperature must be finite and positive"):
+            onsager_magnetization(T)
+
+    @pytest.mark.parametrize("J", [math.nan, math.inf])
+    def test_non_finite_coupling_rejected(self, J):
+        with pytest.raises(ValueError, match="coupling J must be finite"):
+            onsager_magnetization(1.5, J=J)
 
 
 class TestArrayView:

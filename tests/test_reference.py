@@ -1,5 +1,7 @@
 """Plain oracles, record/replay equivalence, and observable cross-checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,22 @@ class TestCheckerboardOracle:
                     want = table[8 * own + n_up]
                     got = min(1.0, lut[own, nb_sum + 4])
                     assert got == want  # bitwise identical doubles
+
+
+class TestNonFiniteInputs:
+    """Non-finite T or J is an error, never a table of NaN ratios."""
+
+    @pytest.mark.parametrize("T,J", [(math.nan, 1.0), (2.0, math.inf), (2.0, math.nan)])
+    def test_acceptance_lut_rejects(self, T, J):
+        with pytest.raises(ValueError, match="must be finite"):
+            acceptance_lut(T, J)
+
+    def test_single_spin_sweep_rejects_nan_temperature(self):
+        spins = random_spins(LatticeDims(4, 32), 8)
+        before = spins.copy()
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            single_spin_sweep(spins, math.nan, Xoshiro256pp(1))
+        assert (spins == before).all()
 
 
 class TestRecordReplay:
