@@ -42,7 +42,9 @@ from .reference import (
 from .rng import (
     MIN_BATTERY_BITS,
     Xoshiro256pp,
+    XoshiroStreams,
     check_seed,
+    draw_path,
     frequency_histogram,
     lag1_joint,
     load_bitstream,
@@ -241,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also threshold 2**23 floats at their median and re-run the battery")
     p_rng.add_argument("--csv", help="also write machine-readable rows (name,p_value,passed)")
 
-    sub.add_parser("selftest", help="fast invariant suite (round-trip, adder, audits, oracle)")
+    sub.add_parser("selftest", help="fast invariant suite (round-trip, draws, adder, audits, oracle)")
     return parser
 
 
@@ -355,7 +357,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         k *= 2
     sizes.append(cfg.n_sim)
     print(f"# {dims.m}x{dims.n}, T={temperature}, {cfg.sweeps} timed sweeps "
-          f"(+{cfg.warmup} warmup; set-up timed), threads={cfg.effective_threads()}")
+          f"(+{cfg.warmup} warmup; set-up timed), threads={cfg.effective_threads()}, "
+          f"draws={draw_path()}")
     print("# peak RSS is the process's peak resident set so far (ru_maxrss), not the row's own")
     print(f"{'n_sim':>6} {'attempts':>14} {'flips/ns':>12} {'T_iter (ms)':>12} {'sweeps/s':>10} "
           f"{'peak RSS (MB)':>14}")
@@ -494,6 +497,19 @@ def _selftest_checks():
                 return f"adder wrong at lane {bit}: {got} != {total}"
         return None
 
+    def check_draws():
+        # The active unit_block path against scalar streams, over two column
+        # ranges; the second range continues streams the first one stepped.
+        streams = XoshiroStreams(7, 40, first_stream=3)
+        scalars = [Xoshiro256pp(7, stream=3 + j) for j in range(40)]
+        for lo, hi in ((0, 40), (13, 27)):
+            block = streams.unit_block(9, lo, hi)
+            for j in range(lo, hi):
+                want = [h & 0x7FFFFF for x in scalars[j].raw64(5).tolist() for h in (x >> 32, x)]
+                if block[:, j - lo].tolist() != want[:9]:
+                    return f"stream {3 + j} draws differ in columns [{lo}, {hi})"
+        return None
+
     def check_audit(J: float):
         faults = _oracle_audit(J, 100)
         problem = "{} spins, {} halo words, {} neighbor codes off".format(*faults)
@@ -543,6 +559,7 @@ def _selftest_checks():
 
     return (
         ("pack/unpack round trip (random 12x96)", check_roundtrip),
+        (f"draw blocks vs scalar streams ({draw_path()}, 40)", check_draws),
         ("half-adder place values (all 16 lane patterns)", check_adder),
         ("replay, halo, neighbor audit (12x96, J=+1)", lambda: check_audit(1.0)),
         ("replay, halo, neighbor audit (12x96, J=-1)", lambda: check_audit(-1.0)),

@@ -8,9 +8,10 @@ import textwrap
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from multispin import cli
+from multispin import cli, rng
 from multispin.cli import (
     CSV_HEADER,
     ENV_THREADS,
@@ -520,6 +521,11 @@ class TestSelftest:
         strip_times = lambda s: [l.split()[:-2] for l in s.splitlines()]
         assert strip_times(first) == strip_times(second)
 
+    def test_names_the_numpy_draw_path(self, capsys, monkeypatch):
+        monkeypatch.setattr(rng, "_kernel_handle", None)
+        assert run_cli("selftest") == 0
+        assert "draw blocks vs scalar streams (numpy, 40)" in capsys.readouterr().out
+
 
 class TestSelftestPlantedFaults:
     """A planted fault fails exactly the selftest lines that should see it."""
@@ -539,6 +545,25 @@ class TestSelftestPlantedFaults:
         monkeypatch.setattr(cli, "neighbor_codes", lambda packed: neighbor_codes(packed) ^ 1)
         assert self.failing_lines(capsys) == self.AUDITS
 
+    @pytest.mark.parametrize("path", ["native", "numpy"])
+    def test_wrong_draw_bits(self, capsys, monkeypatch, path):
+        # the engine and its replay read the same wrong draws, so only the
+        # comparison with scalar streams can see them
+        if path == "numpy":
+            monkeypatch.setattr(rng, "_kernel_handle", None)
+            monkeypatch.setattr(rng, "_DRAW_BITS", np.uint32(0x3FFFFF))
+        elif rng.draw_path() != "native":
+            pytest.skip("no compiled draw kernel on this host")
+        else:
+            call_kernel = rng._call_kernel
+
+            def one_bit_off(kernel, state, lo, hi, rows, out):
+                call_kernel(kernel, state, lo, hi, rows, out)
+                out[: 2 * rows * (hi - lo)] ^= np.uint32(1 << 22)
+
+            monkeypatch.setattr(rng, "_call_kernel", one_bit_off)
+        assert self.failing_lines(capsys) == {f"draw blocks vs scalar streams ({path}, 40)"}
+
     def test_coupling_sign_dropped(self, capsys, monkeypatch):
         from multispin import engine as engine_mod
 
@@ -552,13 +577,18 @@ class TestImportFootprint:
     """simulate, validate, bench and selftest never need scipy.
 
     Only the randomness battery (rngtest) calls scipy.special, and it
-    imports it on first use; ``TestRngTest`` covers that path.
+    imports it on first use; ``TestRngTest`` covers that path.  Importing
+    the command line neither compiles nor loads the draw kernel: that waits
+    for the first draw block.
     """
 
     SCRIPT = textwrap.dedent("""
         import sys
         sys.modules["scipy"] = None  # any scipy import now raises ImportError
         from multispin.cli import main
+        from multispin import rng
+        if rng._kernel_handle is not rng._UNBUILT:
+            sys.exit("importing multispin.cli built the draw kernel")
         small = ["--m", "12", "--n", "96"]
         runs = [
             ["simulate", *small, "--sweeps", "20"],

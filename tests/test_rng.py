@@ -1,9 +1,14 @@
 """Generator fidelity, float shaping, and the randomness battery."""
 
+import shutil
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.special import erfc, gammaincc
 
+from multispin import rng
 from multispin.rng import (
     ALPHA,
     HistogramReport,
@@ -19,6 +24,7 @@ from multispin.rng import (
     monobit_test,
     run_battery,
     runs_test,
+    draw_path,
     shape_unit_float,
     stream_state,
     stream_states,
@@ -119,6 +125,11 @@ class TestGenerator:
         assert stream.tolist() == manual
 
 
+def _halves(raw):
+    """The unit_block rows of uint64 outputs: high then low 23-bit half of each."""
+    return np.stack([raw >> np.uint64(32), raw], axis=1).ravel() & np.uint64(0x7FFFFF)
+
+
 class TestStreamSet:
     def test_columns_are_stream_sequences(self):
         streams = XoshiroStreams(2024, 4, first_stream=0)
@@ -150,8 +161,7 @@ class TestStreamSet:
         # an even count, then an odd one that drops its last low half
         blocks = [streams.unit_block(count).copy() for count in (40, 7)]
         for j in range(n_streams):
-            raw = Xoshiro256pp(99, stream=5 + j).raw64(24)
-            halves = np.stack([raw >> np.uint64(32), raw], axis=1).ravel() & np.uint64(0x7FFFFF)
+            halves = _halves(Xoshiro256pp(99, stream=5 + j).raw64(24))
             assert blocks[0][:, j].tolist() == halves[:40].tolist()
             assert blocks[1][:, j].tolist() == halves[40:47].tolist()
 
@@ -184,11 +194,75 @@ class TestStreamSet:
         right = XoshiroStreams(13, 4, first_stream=2).unit_block(5)
         assert (np.hstack([left, right]) == full).all()
 
+    def test_native_path_is_active_with_a_compiler(self):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        assert draw_path() == "native"
+
+    def _fresh_build_draws(self, monkeypatch):
+        """The path a unit_block call that builds the kernel anew takes; its draws must be right."""
+        monkeypatch.setattr(rng, "_kernel_handle", rng._UNBUILT)
+        block = XoshiroStreams(99, 40, first_stream=5).unit_block(7, 3, 40)
+        for j in (0, 20, 36):
+            assert block[:, j].tolist() == _halves(Xoshiro256pp(99, 8 + j).raw64(4))[:7].tolist()
+        return draw_path()
+
+    def test_failed_compile_falls_back_to_same_draws(self, monkeypatch):
+        monkeypatch.setattr(rng, "_CC", ("/nonexistent/cc", *rng._CC[1:]))
+        assert self._fresh_build_draws(monkeypatch) == "numpy"
+
+    def test_kernel_failing_its_check_is_not_used(self, monkeypatch):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        # a kernel that keeps one draw bit too few still compiles and loads
+        broken = rng._KERNEL_C.replace("0x7FFFFF;", "0x3FFFFF;")
+        assert broken != rng._KERNEL_C
+        monkeypatch.setattr(rng, "_KERNEL_C", broken)
+        checks = []
+        matches = rng._kernel_matches
+        monkeypatch.setattr(rng, "_kernel_matches", lambda k: checks.append(matches(k)) or checks[-1])
+        assert self._fresh_build_draws(monkeypatch) == "numpy"
+        assert checks == [False]  # it was built and loaded, and the check turned it down
+
+    def test_concurrent_first_blocks_build_once(self, monkeypatch):
+        # engine slices draw from worker threads; the first blocks race to build
+        monkeypatch.setattr(rng, "_kernel_handle", rng._UNBUILT)
+        builds = []
+        build = rng._build_kernel
+        monkeypatch.setattr(rng, "_build_kernel", lambda: builds.append(1) or build())
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                blocks = list(pool.map(
+                    lambda s: XoshiroStreams(99, 3, first_stream=s).unit_block(7).copy(),
+                    range(6), timeout=120))
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(builds) == 1
+        for s, block in enumerate(blocks):
+            for j in range(3):
+                assert block[:, j].tolist() == _halves(Xoshiro256pp(99, s + j).raw64(4))[:7].tolist()
+
     def test_stream_cross_correlation_small(self):
         block = XoshiroStreams(21, 2).unit_block(100_000)
         x, y = block[:, 0], block[:, 1]
         corr = np.corrcoef(x, y)[0, 1]
         assert abs(corr) < 0.01
+
+
+class TestUnitBlockNumpyStep:
+    """``TestStreamSet``'s ``unit_block`` tests again, on the numpy step that runs
+    where the draw kernel cannot be built (``TestStreamSet`` runs the active path)."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_step(self, monkeypatch):
+        monkeypatch.setattr(rng, "_kernel_handle", None)
+
+    test_unit_block_takes_high_then_low_half = TestStreamSet.test_unit_block_takes_high_then_low_half
+    test_unit_block_reuses_its_buffer = TestStreamSet.test_unit_block_reuses_its_buffer
+    test_unit_block_range_is_full_block_columns = TestStreamSet.test_unit_block_range_is_full_block_columns
+    test_offset_slices_reproduce_full_run = TestStreamSet.test_offset_slices_reproduce_full_run
 
 
 class TestShaping:
