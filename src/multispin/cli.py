@@ -1,19 +1,18 @@
 """Command-line interface: simulate, validate, bench, rngtest, selftest.
 
 Configuration comes from an optional flat ``key = value`` file ('#' starts
-a comment); every key can be overridden by the command-line flag of the
-same name, and flags always win.  ``--threads`` defaults to 1; the
+a comment); a command reads exactly the keys its own flags name, and each
+flag overrides the key of the same name.  ``--threads`` defaults to 1; the
 environment variable ``MULTISPIN_THREADS`` overrides the configured thread
 count (flags still beat it).  Input that cannot run (threads below 1, a
 temperature that is not finite and positive, a non-finite J, a validate
 run too short to analyse, with a tolerance or cap that is not finite and
 non-negative or with J <= 0, an rngtest bit count below the battery's
-minimum, an unknown init mode, a seed outside [0, 2**64), an ``output``
-config key given to a command other than simulate, a config value or
-``MULTISPIN_THREADS`` that does not convert, named by its source) exits 2
-before any output.  The simulate ``--output`` file is opened before the
-run: an unwritable path exits 2 before any sweep, and a failed run leaves
-the file empty.  Trajectories are written as CSV with the header
+minimum, an unknown init mode, a seed outside [0, 2**64), a config key the
+command does not read, a config value or ``MULTISPIN_THREADS`` that does
+not convert, named by its source) exits 2 before any output.  The simulate
+``--output`` file is opened before the run: an unwritable path exits 2
+before any sweep, and a failed run leaves the file empty.  Trajectories are written as CSV with the header
 ``sweep,sim,temperature,abs_magnetization,energy_per_spin``, floats printed
 with 9 significant digits, '.' decimals and plain newlines.
 """
@@ -32,7 +31,7 @@ import numpy as np
 
 from . import bitkernels, engine as engine_mod
 from .engine import INIT_MODES, Engine, neighbor_codes, run_simulations
-from .lattice import LatticeDims, TC_OVER_J, pack, unpack
+from .lattice import LatticeDims, TC_OVER_J, check_temperature, pack, unpack
 from .observables import MIN_EQUILIBRATION_SAMPLES, Trajectory, summarize
 from .reference import (
     checkerboard_sweep_plain,
@@ -71,7 +70,10 @@ def _fmt(x: float) -> str:
 
 @dataclass
 class SimConfig:
-    """Run settings shared by the simulate/validate/bench commands."""
+    """Run settings of the simulate/validate/bench commands.
+
+    Each command reads the fields its own flags define (``build_parser``).
+    """
 
     m: int = 64
     n: int = 64
@@ -135,19 +137,21 @@ def parse_config_file(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> SimConfig:
-    """Merge defaults, config file, environment, and flags (flags win)."""
+    """Merge defaults, config file, environment, and flags (flags win).
+
+    A command reads the ``SimConfig`` fields its subparser defines; a config
+    key for any other field is a ValueError naming the file and the command.
+    """
     cfg = SimConfig()
-    kinds = {f.name: type(f.default) for f in fields(SimConfig)}
-    if getattr(args, "config", None):
+    kinds = {f.name: parse_temperatures if f.name == "temperature" else type(f.default)
+             for f in fields(SimConfig) if f.name in vars(args)}
+    if args.config:
         for key, value in parse_config_file(args.config).items():
             if key not in kinds:
-                raise ValueError(f"unknown config key {key!r}")
-            if key == "output" and args.command != "simulate":
-                raise ValueError(f"config key 'output' is read by simulate only; "
-                                 f"{args.command} writes no CSV")
-            kind = parse_temperatures if key == "temperature" else kinds[key]
+                raise ValueError(f"{args.config}: config key {key!r} is not read by "
+                                 f"{args.command}")
             try:
-                setattr(cfg, key, kind(value))
+                setattr(cfg, key, kinds[key](value))
             except ValueError as exc:
                 raise ValueError(f"{args.config}: config key {key!r}: {exc}") from None
     env_threads = os.environ.get(ENV_THREADS)
@@ -156,11 +160,10 @@ def build_config(args: argparse.Namespace) -> SimConfig:
             cfg.threads = int(env_threads)
         except ValueError as exc:
             raise ValueError(f"{ENV_THREADS}: {exc}") from None
-    for key in kinds:
-        value = getattr(args, key, None)
-        if value is None:
-            continue
-        setattr(cfg, key, parse_temperatures(value) if key == "temperature" else value)
+    for key, kind in kinds.items():
+        value = getattr(args, key)
+        if value is not None:
+            setattr(cfg, key, kind(value))
     LatticeDims(cfg.m, cfg.n)
     if cfg.sweeps < 0 or cfg.warmup < 0:
         raise ValueError("sweeps and warmup must be non-negative")
@@ -173,10 +176,8 @@ def build_config(args: argparse.Namespace) -> SimConfig:
         raise ValueError(f"n_sim must be at least 1, got {cfg.n_sim}")
     if not cfg.temperature:
         raise ValueError("need at least one temperature")
-    if not all(math.isfinite(t) and t > 0 for t in cfg.temperature):
-        raise ValueError(f"temperatures must be finite and positive, got {cfg.temperature}")
-    if not math.isfinite(cfg.j):
-        raise ValueError(f"coupling j must be finite, got {cfg.j}")
+    for t in cfg.temperature:
+        check_temperature(t, cfg.j)
     if cfg.init not in INIT_MODES:
         raise ValueError(f"init must be one of {', '.join(INIT_MODES)}, got {cfg.init!r}")
     for key in ("tolerance", "disordered_cap"):
@@ -196,8 +197,6 @@ def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--j", type=float, help="ferromagnetic coupling J (default 1)")
     parser.add_argument("--sweeps", type=int, help="number of full sweeps")
-    parser.add_argument("--measure-interval", dest="measure_interval", type=int,
-                        help="sweeps between measurements")
     parser.add_argument("--n-sim", dest="n_sim", type=int,
                         help="independent simulations per temperature")
     parser.add_argument("--seed", type=int, help="master seed in [0, 2**64)")
@@ -217,18 +216,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run simulations and write a trajectory CSV")
-    _add_sim_flags(p_sim)
-    p_sim.add_argument("--output", help="CSV output path (default stdout)")
-
     p_val = sub.add_parser("validate", help="compare equilibrated |M| against the exact curve")
-    _add_sim_flags(p_val)
+    p_bench = sub.add_parser("bench", help="throughput: flip rate and iteration period")
+    for p in (p_sim, p_val, p_bench):
+        _add_sim_flags(p)
+    for p in (p_sim, p_val):
+        p.add_argument("--measure-interval", dest="measure_interval", type=int,
+                       help="sweeps between measurements")
+    p_sim.add_argument("--output", help="CSV output path (default stdout)")
     p_val.add_argument("--tolerance", type=float,
                        help="allowed |deviation| below the critical region (default 0.02)")
     p_val.add_argument("--disordered-cap", dest="disordered_cap", type=float,
                        help="allowed |M| above the critical region (default 0.10)")
-
-    p_bench = sub.add_parser("bench", help="throughput: flip rate and iteration period")
-    _add_sim_flags(p_bench)
     p_bench.add_argument("--warmup", type=int, help="untimed warmup sweeps (default 10)")
 
     p_rng = sub.add_parser("rngtest", help="randomness battery, histogram, and lag-1 checks")

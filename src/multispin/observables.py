@@ -34,7 +34,8 @@ class Trajectory:
 
     ``abs_m[k, s]`` and ``energy[k, s]`` belong to measurement k (taken at
     sweep ``sweeps[k]``) of simulation s, which ran at ``temperatures[s]``.
-    ``meta`` echoes the configuration plus wall-clock counters.
+    ``meta`` holds what the run counted: its spin-flip ``attempts`` and,
+    from ``run_simulations``, the ``threads`` it ran on.
     """
 
     sweeps: np.ndarray

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ from multispin import cli, rng
 from multispin.cli import (
     CSV_HEADER,
     ENV_THREADS,
+    SimConfig,
     build_config,
     build_parser,
     main,
@@ -24,6 +26,19 @@ from multispin.cli import (
 
 SMALL = ("--m", "12", "--n", "96", "--sweeps", "10", "--measure-interval", "10")
 ROOT = Path(__file__).resolve().parent.parent
+READS = {  # the config keys each simulation command reads
+    "simulate": {"m", "n", "temperature", "j", "sweeps", "measure_interval", "n_sim", "seed",
+                 "init", "threads", "output"},
+    "validate": {"m", "n", "temperature", "j", "sweeps", "measure_interval", "n_sim", "seed",
+                 "init", "threads", "tolerance", "disordered_cap"},
+    "bench": {"m", "n", "temperature", "j", "sweeps", "n_sim", "seed", "init", "threads",
+              "warmup"},
+}
+
+
+def small(command):
+    """SMALL, less the --measure-interval flag that bench does not define."""
+    return SMALL[:-2] if command == "bench" else SMALL
 
 
 def run_cli(*argv, capsys=None):
@@ -99,12 +114,13 @@ class TestConfigFile:
     def test_values_take_the_field_types(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv(ENV_THREADS, raising=False)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("j = 1\nwarmup = 3\ntolerance = 0.05\ninit = all-up\nn_sim = 2\n")
-        built = build_config(build_parser().parse_args(["simulate", "--config", str(cfg)]))
-        assert (built.j, built.warmup, built.tolerance, built.init, built.n_sim) == (
-            1.0, 3, 0.05, "all-up", 2)
-        assert [type(v) for v in (built.j, built.warmup, built.tolerance, built.init,
-                                  built.n_sim)] == [float, int, float, str, int]
+        cfg.write_text("j = 1\nwarmup = 3\ninit = all-up\nn_sim = 2\n")
+        bench = build_config(build_parser().parse_args(["bench", "--config", str(cfg)]))
+        cfg.write_text("tolerance = 0.05\n")
+        validate = build_config(build_parser().parse_args(["validate", "--config", str(cfg)]))
+        values = (bench.j, bench.warmup, validate.tolerance, bench.init, bench.n_sim)
+        assert values == (1.0, 3, 0.05, "all-up", 2)
+        assert [type(v) for v in values] == [float, int, float, str, int]
         cfg.write_text("m = 12\nn = 96\nsweeps = 1.5\n")
         assert run_cli("simulate", "--config", str(cfg)) == 2
         captured = capsys.readouterr()
@@ -121,6 +137,45 @@ class TestConfigFile:
         cfg.write_text("walrus = 7\n")
         assert run_cli("simulate", "--config", str(cfg)) == 2
         assert "walrus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(READS))
+    def test_each_command_reads_its_own_keys(self, tmp_path, monkeypatch, command):
+        monkeypatch.delenv(ENV_THREADS, raising=False)
+        names = {f.name for f in fields(SimConfig)}
+        assert set(vars(build_parser().parse_args([command]))) & names == READS[command]
+        # every key the command reads, each away from its default, from a config file
+        values = {"m": "12", "n": "96", "temperature": "2.5", "j": "0.5", "sweeps": "40",
+                  "measure_interval": "2", "n_sim": "2", "seed": "3", "init": "all-up",
+                  "threads": "2", "output": "x.csv", "tolerance": "0.05",
+                  "disordered_cap": "0.2", "warmup": "2"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {values[key]}\n" for key in READS[command]))
+        built = build_config(build_parser().parse_args([command, "--config", str(cfg)]))
+        assert all(getattr(built, key) != getattr(SimConfig(), key) for key in READS[command])
+
+    @pytest.mark.parametrize("command, key", [
+        ("simulate", "warmup"), ("simulate", "tolerance"), ("simulate", "disordered_cap"),
+        ("validate", "warmup"), ("validate", "output"),
+        ("bench", "tolerance"), ("bench", "disordered_cap"), ("bench", "output"),
+        ("bench", "measure_interval"),
+    ])
+    def test_unread_config_key_rejected(self, tmp_path, capsys, command, key):
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {out if key == 'output' else 5}\n")
+        extra = ("--output", str(out)) if command == "simulate" else ()
+        assert run_cli(command, "--config", str(cfg), *small(command), *extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{cfg}: config key {key!r} is not read by {command}" in captured.err
+        assert not out.exists()
+
+    def test_bench_rejects_measure_interval_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "--m", "12", "--n", "96", "--sweeps", "1", "--measure-interval", "5")
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--measure-interval" in captured.err
 
     def test_bad_dims_message_quotes_rules(self, capsys):
         assert run_cli("simulate", "--m", "14", "--n", "96") == 2
@@ -166,12 +221,16 @@ class TestInputHardening:
         self.expect_rejected(capsys, "simulate", "--config", str(cfg), *SMALL,
                              match=f"{cfg}: config key 'threads': invalid literal")
 
-    @pytest.mark.parametrize("spec", ["nan", "inf", "2.0,-inf", "0",
-                                      "1:inf:1", "-inf:1:1", "1:nan:1"])
-    def test_bad_temperature(self, capsys, spec):
+    # Single values get check_temperature's message, ranges parse_temperatures'.
+    @pytest.mark.parametrize("spec, match", [pytest.param(spec, match, id=spec) for spec, match in [
+        *[(spec, f"temperature must be finite and positive, got {bad}")
+          for spec, bad in (("nan", "nan"), ("inf", "inf"), ("2.0,-inf", "-inf"), ("0", "0.0"))],
+        *[(spec, f"temperatures must be finite and positive, got range {spec!r}")
+          for spec in ("1:inf:1", "-inf:1:1", "1:nan:1")],
+    ]])
+    def test_bad_temperature(self, capsys, spec, match):
         # one token, so argparse takes "-inf:1:1" as a value, not an option
-        self.expect_rejected(capsys, "simulate", *SMALL, f"--temperature={spec}",
-                             match="temperatures must be finite and positive")
+        self.expect_rejected(capsys, "simulate", *SMALL, f"--temperature={spec}", match=match)
 
     @pytest.mark.parametrize("j", ["nan", "inf"])
     def test_non_finite_coupling(self, capsys, j):
@@ -187,16 +246,16 @@ class TestInputHardening:
 
     @pytest.mark.parametrize("command", ["simulate", "validate", "bench"])
     def test_no_simulations(self, capsys, command):
-        self.expect_rejected(capsys, command, *SMALL, "--n-sim", "0",
+        self.expect_rejected(capsys, command, *small(command), "--n-sim", "0",
                              match="n_sim must be at least 1")
 
     @pytest.mark.parametrize("command", ["simulate", "validate", "bench"])
     def test_empty_temperature_list(self, capsys, command):
-        self.expect_rejected(capsys, command, *SMALL, "--temperature", ",",
+        self.expect_rejected(capsys, command, *small(command), "--temperature", ",",
                              match="need at least one temperature")
 
     def test_bench_negative_warmup(self, capsys):
-        self.expect_rejected(capsys, "bench", *SMALL, "--warmup", "-1",
+        self.expect_rejected(capsys, "bench", *small("bench"), "--warmup", "-1",
                              match="warmup must be non-negative")
 
     @pytest.mark.parametrize("flag", ["--tolerance", "--disordered-cap"])
@@ -231,8 +290,9 @@ class TestInputHardening:
         # Config values skip argparse's choices, so build_config checks them.
         cfg = tmp_path / "run.cfg"
         cfg.write_text("init = sideways\n")
+        interval = () if command == "bench" else ("--measure-interval", "1")
         self.expect_rejected(capsys, command, "--config", str(cfg), "--m", "12", "--n", "96",
-                             "--sweeps", "40", "--measure-interval", "1",
+                             "--sweeps", "40", *interval,
                              match="init must be one of random, all-up")
 
     def test_unwritable_output_fails_before_run(self, tmp_path, capsys, monkeypatch):
@@ -256,7 +316,7 @@ class TestInputHardening:
     @pytest.mark.parametrize("command", ["validate", "bench"])
     def test_output_is_simulate_only(self, tmp_path, capsys, command):
         with pytest.raises(SystemExit) as exc:
-            run_cli(command, *SMALL, "--output", str(tmp_path / "x.csv"))
+            run_cli(command, *small(command), "--output", str(tmp_path / "x.csv"))
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--output" in captured.err
@@ -267,8 +327,8 @@ class TestInputHardening:
         out = tmp_path / "x.csv"
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"output = {out}\n")
-        self.expect_rejected(capsys, command, "--config", str(cfg), *SMALL,
-                             match="config key 'output' is read by simulate only")
+        self.expect_rejected(capsys, command, "--config", str(cfg), *small(command),
+                             match=f"config key 'output' is not read by {command}")
         assert not out.exists()
 
     def test_output_config_key_honoured_by_simulate(self, tmp_path, capsys):
@@ -281,7 +341,7 @@ class TestInputHardening:
     @pytest.mark.parametrize("seed", [str(-1), str(1 << 64)])
     @pytest.mark.parametrize("command", ["simulate", "validate", "bench", "rngtest"])
     def test_seed_outside_64_bits(self, tmp_path, capsys, command, seed):
-        flags = ("--bits", "1000") if command == "rngtest" else SMALL
+        flags = ("--bits", "1000") if command == "rngtest" else small(command)
         self.expect_rejected(capsys, command, *flags, "--seed", seed,
                              match="seed must be in [0, 2**64)")
 

@@ -637,6 +637,19 @@ class TestRunSimulations:
         with pytest.raises(ValueError, match="at least one simulation"):
             run_simulations(DIMS, (), 1, 1)
 
+    def test_every_slice_is_checked_before_any_sweep(self, monkeypatch):
+        runs = []
+        run = Engine.run
+        monkeypatch.setattr(Engine, "run", lambda eng, *a: runs.append(eng) or run(eng, *a))
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            run_simulations(DIMS, (2.0, math.nan), 1, 3000, threads=2)
+        assert runs == []
+
+    def test_meta_holds_only_the_counts(self):
+        traj = run_simulations(DIMS, (2.0, 2.5), 1, 3, measure_interval=2, threads=2)
+        assert traj.meta == {"attempts": DIMS.sites * 2 * 3, "threads": 2}
+        assert Engine(DIMS, [2.0], 1).run(2).meta == {"attempts": DIMS.sites * 2}
+
     def test_cross_sim_consistency(self):
         # replicas at one temperature scatter around a common mean
         temps = (2.0,) * 4
