@@ -28,7 +28,12 @@ A spin of code c (``8*own_bit + neighbor_up_count``) flips when its draw k
 is below ``limit[sim, c]``.  The flips restate that comparison per draw:
 each draw becomes a 16-bit mask whose bit c is ``k < limit[sim, c]``, built
 from two compares because a Metropolis table has at most two limits other
-than 0 and 2**23, and each spin reads bit c of its own draw's mask.
+than 0 and 2**23, and each spin reads bit c of its own draw's mask.  A
+quarter's neighbor words, adder and four nibble compacts are numpy calls;
+its acceptance -- the masks, the select, the XOR into the target and the
+flip count -- is one call of the compiled kernel that shares its build with
+the draw kernel (``rng.draw_path()``), or, where that cannot be built, the
+same mask select in numpy passes.  Both give the same states.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from .lattice import (
     unpack,
 )
 from .observables import Trajectory
-from .rng import XoshiroStreams
+from .rng import XoshiroStreams, _call_accept, _kernel
 
 __all__ = [
     "INIT_MODES",
@@ -213,23 +218,37 @@ def refresh_boundaries(packed: PackedArrays) -> PackedArrays:
     return packed
 
 
-def _quarter_codes(state: np.ndarray, target: ArrayCode, lateral: ArrayCode,
-                   vertical: ArrayCode, up: bool, right: bool, out: np.ndarray) -> np.ndarray:
-    """Write the 4-bit codes of one quarter-flip's target spins into ``out``.
+def _quarter_compacts(state: np.ndarray, target: ArrayCode, lateral: ArrayCode,
+                      vertical: ArrayCode, up: bool, right: bool) -> list[np.ndarray]:
+    """The four nibble compacts of one quarter-flip's target spins.
 
     ``state`` is a (n_sim, 8, cells+2, words+2) array with current halos;
-    ``out[r, sim, cell-1, word-1]`` becomes ``8*own_bit + neighbor_up_count``
-    of bit ``_ROW_BITS[r]`` of the target word.  One shift, one add4 and
-    four compacts per quarter.
+    field ii of compact i holds ``8*own_bit + neighbor_up_count`` of bit
+    ``4*ii + i`` of the target word.  One shift, one add4 and four compacts
+    per quarter, all called through this module's names.
     """
     neighbors = get_neighbors(state[:, lateral.index], state[:, vertical.index], up, right)
     ones, twos, fours = bitwise_add4(*neighbors)
     interior = state[:, target.index, 1:-1, 1:-1]
-    for i in range(4):
-        np.right_shift(nibble_compact(ones, twos, fours, interior, i), _FIELDS,
-                       out=out[4 * i : 4 * i + 4])
+    return [nibble_compact(ones, twos, fours, interior, i) for i in range(4)]
+
+
+def _codes(compacts, out: np.ndarray) -> np.ndarray:
+    """Spread four compacts into ``out``: row ``r`` holds the codes of bit ``_ROW_BITS[r]``."""
+    for i, compact in enumerate(compacts):
+        np.right_shift(compact, _FIELDS, out=out[4 * i : 4 * i + 4])
     out &= 0xF
     return out
+
+
+def _quarter_codes(state: np.ndarray, target: ArrayCode, lateral: ArrayCode,
+                   vertical: ArrayCode, up: bool, right: bool, out: np.ndarray) -> np.ndarray:
+    """Write the 4-bit codes of one quarter-flip's target spins into ``out``.
+
+    ``out[r, sim, cell-1, word-1]`` becomes ``8*own_bit +
+    neighbor_up_count`` of bit ``_ROW_BITS[r]`` of the target word.
+    """
+    return _codes(_quarter_compacts(state, target, lateral, vertical, up, right), out)
 
 
 def neighbor_codes(packed: PackedArrays) -> np.ndarray:
@@ -319,6 +338,7 @@ class Engine:
             np.stack([build_exp_table(t, coupling) for t in self.temperatures])))
         # Flips run tile by tile; scratch sized for the widest tile is reused
         # by every quarter of every tile: per-draw masks, codes, one compare.
+        # The compiled acceptance uses one row of the masks as its scratch.
         cells, words = dims.cells, dims.words
         self._tiles = _sim_ranges(self.n_sim, cells * words, _TILE_STREAMS)
         lanes = 16 * (self._tiles[0][1] - self._tiles[0][0]) * cells * words
@@ -380,7 +400,14 @@ class Engine:
                       vertical: ArrayCode, up: bool, right: bool, draws: np.ndarray) -> None:
         """One quarter-flip of simulations [a, b) on (16, b - a, cells, words) draws."""
         state = self.state[a:b]
+        compacts = _quarter_compacts(state, target, lateral, vertical, up, right)
+        interior = state[:, target.index, 1:-1, 1:-1]
         masks, codes, below = self._scratch[b - a]
+        kernel = _kernel()
+        if kernel is not None:
+            self.flips += _call_accept(kernel.accept, draws, compacts, self._levels,
+                                       self._code_masks, a, interior, masks)
+            return
         (low, high), (at_low, at_high, certain) = self._levels[:, a:b], self._code_masks[:, a:b]
         # Bit c of masks[r] is whether draw r accepts code c; codes is scratch here.
         np.less(draws, low, out=below)
@@ -389,14 +416,13 @@ class Engine:
         np.multiply(below, at_high, out=codes)
         masks |= codes
         masks |= certain
-        _quarter_codes(state, target, lateral, vertical, up, right, out=codes)
         # Every lane reads only the opposite color and its own pre-quarter
         # bit, so the accepted flips of all 16 lanes apply at once.
-        masks >>= codes
+        masks >>= _codes(compacts, codes)
         masks &= 1
         masks *= _ROW_WEIGHTS
         flipped = np.bitwise_or.reduce(masks, axis=0)
-        state[:, target.index, 1:-1, 1:-1] ^= flipped
+        interior ^= flipped
         self.flips += int(np.bitwise_count(flipped).sum(dtype=np.int64))
 
     def _flip_phase(self, quarters) -> None:

@@ -11,11 +11,14 @@ the mantissa of a binary32 in [1, 2) and 1.0 is subtracted, yielding
 The xoshiro256++ step exists three times: on python ints (the scalar
 ``Xoshiro256pp``, and the oracle the others are checked against), on uint64
 numpy arrays (``raw_block``), and as a small C kernel that serves
-``XoshiroStreams.unit_block``.  The kernel is compiled with the system C
-compiler on the first ``unit_block`` call of a process, never at import,
-and checked against the python-int step before its first use; without a
-compiler, or when the build or that check fails, ``unit_block`` runs on the
-numpy step and gives the same draws.  ``draw_path()`` says which one runs.
+``XoshiroStreams.unit_block``.  The same C source holds the engine's
+acceptance kernel, which consumes the draws.  Both are compiled with the
+system C compiler on the first ``unit_block`` call of a process, never at
+import, and each is checked before its first use: the draws against the
+python-int step, the acceptance against its mask select restated in numpy.
+Without a compiler, or when the build or either check fails, draws and
+flips both run on numpy and give the same draws and states.
+``draw_path()`` says which path runs.
 
 The quality battery implements the frequency (monobit), block-frequency,
 runs, longest-run-of-ones and cumulative-sums tests at significance 0.01,
@@ -27,6 +30,7 @@ first call, so a process that only draws (every engine) never loads scipy.
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -171,11 +175,21 @@ def _step_arrays(state: list, count: int, out: np.ndarray | None = None,
     return out
 
 
-# unit_block's draw kernel: the state words stay in registers for one step of
-# a stream, and both halves go straight into the draw block.  Rows outer and
-# streams inner, so the compiler vectorizes the inner loop across streams.
+# The compiled kernels, one C source built once per process:
+#
+# unit_block: the state words stay in registers for one step of a stream, and
+# both halves go straight into the draw block.  Rows outer and streams inner,
+# so the compiler vectorizes the inner loop across streams.
+#
+# accept: one quarter-flip's acceptance (engine.Engine._flip_quarter).  Row
+# r = 4i + ii of the draws gates field ii of compact i, bit 4ii + i of the
+# target word; its draw's code mask is ``(k < low) & at_low | (k < high) &
+# at_high | certain`` and the spin flips when bit ``code`` of that mask is set.
+# Rows are the outer loop, and each row's pass over cells * words sits in a
+# function of its own, so the compiler vectorizes it with per-lane shifts.
 _KERNEL_C = r"""
 #include <stdint.h>
+#include <string.h>
 
 void unit_block(uint64_t *restrict s0, uint64_t *restrict s1, uint64_t *restrict s2,
                 uint64_t *restrict s3, long width, long rows, uint32_t *restrict k)
@@ -192,28 +206,113 @@ void unit_block(uint64_t *restrict s0, uint64_t *restrict s1, uint64_t *restrict
         }
     }
 }
+
+static void __attribute__((noinline))
+accept_row(long n, const uint32_t *restrict k, const uint16_t *restrict compact,
+           uint32_t field, uint32_t bit, uint32_t lo, uint32_t hi, uint32_t at_lo,
+           uint32_t at_hi, uint32_t certain, uint16_t *restrict flipped)
+{
+    for (long j = 0; j < n; j++) {
+        uint32_t x = k[j], code = ((uint32_t)compact[j] >> field) & 0xF;
+        uint32_t mask = (x < lo ? at_lo : 0) | (x < hi ? at_hi : 0) | certain;
+        flipped[j] |= (uint16_t)(((mask >> code) & 1) << bit);
+    }
+}
+
+long accept(long sims, long cells, long words, const uint32_t *k,
+            const uint16_t *c0, const uint16_t *c1, const uint16_t *c2, const uint16_t *c3,
+            const uint32_t *levels, const uint16_t *masks, long n_sim, long first,
+            uint16_t *target, long target_sim, long target_cell, uint16_t *restrict flipped)
+{
+    const uint16_t *compacts[4] = {c0, c1, c2, c3};
+    long n = cells * words, count = 0;
+    for (long s = 0; s < sims; s++) {
+        const uint32_t *lev = levels + first + s;
+        const uint16_t *msk = masks + first + s;
+        memset(flipped, 0, n * sizeof *flipped);
+        for (long r = 0; r < 16; r++)
+            accept_row(n, k + (r * sims + s) * n, compacts[r / 4] + s * n, 4 * (r % 4),
+                       4 * (r % 4) + r / 4, lev[0], lev[n_sim], msk[0], msk[n_sim],
+                       msk[2 * n_sim], flipped);
+        for (long c = 0; c < cells; c++) {
+            uint16_t *t = target + s * target_sim + c * target_cell;
+            const uint16_t *f = flipped + c * words;
+            for (long w = 0; w < words; w++) {
+                t[w] ^= f[w];
+                count += __builtin_popcount(f[w]);
+            }
+        }
+    }
+    return count;
+}
 """
-# -march=native read within 4 % of plain -O3 either way on a 2-vCPU Xeon.
-_CC = ("cc", "-O3", "-shared", "-fPIC")
+# Plain -O3 targets SSE2, which has no per-lane vector shift: there a 1024x1024
+# sweep took 6.6 ms, slower than the numpy acceptance's 5.5 and the 3.5 of
+# -march=native (2-vCPU Xeon with AVX-512, gcc 12.2).
+_CC = ("cc", "-O3", "-march=native", "-shared", "-fPIC")
 _UNBUILT = object()
-_kernel_handle = _UNBUILT  # the checked kernel, None for the numpy step, or _UNBUILT
+_kernel_handle = _UNBUILT  # the checked kernels' library, None for numpy, or _UNBUILT
 _kernel_lock = threading.Lock()
+
+
+def _address(a: np.ndarray) -> int:
+    """Address of the first element of ``a``.
+
+    numpy's ``ctypes`` attribute costs about 2 µs per read, a quarter of an
+    accept call's overhead per pointer, so a C-contiguous writable array is
+    read through the buffer protocol instead (about 0.7 µs).
+    """
+    if a.flags.c_contiguous and a.flags.writeable:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    return a.ctypes.data
 
 
 def _call_kernel(kernel, state: np.ndarray, lo: int, hi: int, rows: int, out: np.ndarray) -> None:
     """Step columns [lo, hi) of a C-contiguous (4, n) uint64 state ``rows`` times into
     ``out``, a C-contiguous uint32 array of at least 2 * rows * (hi - lo) elements."""
-    base, stride = state.ctypes.data + 8 * lo, 8 * state.shape[1]
+    base, stride = _address(state) + 8 * lo, 8 * state.shape[1]
     kernel(base, base + stride, base + 2 * stride, base + 3 * stride, hi - lo, rows,
-           out.ctypes.data)
+           _address(out))
+
+
+def _call_accept(kernel, draws, compacts, levels, code_masks, first, target, flipped) -> int:
+    """One quarter's accepted flips XORed into ``target``; returns their count.
+
+    ``draws`` is a (16, sims, cells, words) uint32 block and each of the four
+    ``compacts`` a (sims, cells, words) uint16 array.  ``levels`` and
+    ``code_masks`` are an engine's C-contiguous (2, n_sim, 1, 1) uint32
+    compare levels and (3, n_sim, 1, 1) uint16 code masks, read in place for
+    simulations [first, first + sims).  ``target`` is the (sims, cells,
+    words) uint16 view of those simulations' target words, its words
+    contiguous, and ``flipped`` C-contiguous uint16 scratch of at least
+    cells * words elements.
+    """
+    sims, cells, words = shape = target.shape
+    n_sim = levels.shape[1]
+    draws = np.ascontiguousarray(draws)
+    compacts = [np.ascontiguousarray(c) for c in compacts]
+    if (draws.shape != (16, *shape) or draws.dtype != np.uint32 or len(compacts) != 4
+            or any(c.shape != shape or c.dtype != np.uint16 for c in compacts)
+            or levels.shape != (2, n_sim, 1, 1) or levels.dtype != np.uint32
+            or code_masks.shape != (3, n_sim, 1, 1) or code_masks.dtype != np.uint16
+            or not (levels.flags.c_contiguous and code_masks.flags.c_contiguous)
+            or not 0 <= first <= n_sim - sims
+            or target.dtype != np.uint16 or target.strides[2] != target.itemsize
+            or flipped.dtype != np.uint16 or not flipped.flags.c_contiguous
+            or flipped.size < cells * words):
+        raise ValueError("accept: arrays of the wrong shape, dtype or layout")
+    return kernel(sims, cells, words, _address(draws), *map(_address, compacts),
+                  _address(levels), _address(code_masks), n_sim, first, target.ctypes.data,
+                  target.strides[0] // 2, target.strides[1] // 2, _address(flipped))
 
 
 def _kernel_matches(kernel) -> bool:
-    """Whether ``kernel`` steps streams [1, 38) of 40 as ``_step_ints`` does and no others."""
+    """Whether ``kernel.unit_block`` steps streams [1, 38) of 40 as ``_step_ints`` does
+    and no others."""
     state = stream_states(1, 0, 40)
     before = state.copy()
     out = np.zeros((6, 37), dtype=np.uint32)
-    _call_kernel(kernel, state, 1, 38, 3, out)
+    _call_kernel(kernel.unit_block, state, 1, 38, 3, out)
     for j in range(1, 38):
         s = before[:, j].tolist()
         halves = [h & _MANTISSA for x in _step_ints(s, 3) for h in (x >> 32, x)]
@@ -222,28 +321,72 @@ def _kernel_matches(kernel) -> bool:
     return (state[:, [0, 38, 39]] == before[:, [0, 38, 39]]).all()
 
 
+def _accept_matches(kernel) -> bool:
+    """Whether ``kernel.accept`` flips what the mask select restated in numpy flips.
+
+    A fixed random case: simulations [1, 4) of a (4, 2, 5, 21) state, with
+    different levels each (0 and 2**23 among them), every code in every
+    field of every simulation, and draws at each level and one either side
+    of it.  Only the interior of array 1 of those three simulations may
+    change.
+    """
+    # random words from splitmix64 outputs: numpy.random would cost ~5 MB of RSS
+    pool = stream_states(18, 0, 1024).view(np.uint16).ravel()
+
+    def take(*shape):
+        nonlocal pool
+        out, pool = pool[: np.prod(shape)].reshape(shape), pool[np.prod(shape):]
+        return out
+
+    sims, cells, words = 3, 3, 19  # 57 words per row leave a vector tail
+    levels = np.array([[0, 1 << 22, 5, 1 << 23], [1 << 23, 1 << 22, 1 << 21, 0]], np.uint32)
+    masks = take(3, 4)
+    near = levels[:, 1:, None].astype(np.int64) + np.arange(-1, 2)  # (2, sims, 3)
+    choices = np.clip(near.transpose(1, 0, 2).reshape(sims, 6), 0, _MANTISSA)
+    picks = take(16, sims, cells, words) % 6
+    draws = choices[np.arange(sims)[:, None, None], picks].astype(np.uint32)
+    compacts = [take(sims, cells, words) for _ in range(4)]
+    for compact in compacts:  # every code in every field of every simulation
+        compact.reshape(sims, -1)[:, :16] = np.arange(16) * 0x1111
+    state = take(sims + 1, 2, cells + 2, words + 2)
+    want = state.copy()
+    (lo, hi), (at_lo, at_hi, certain) = levels[:, 1:, None, None], masks[:, 1:, None, None]
+    for r in range(16):
+        code = (compacts[r // 4] >> 4 * (r % 4)) & 0xF
+        mask = (draws[r] < lo) * at_lo | (draws[r] < hi) * at_hi | certain
+        want[1:, 1, 1:-1, 1:-1] ^= ((mask >> code) & 1) << (4 * (r % 4) + r // 4)
+    flips = int(np.bitwise_count(want ^ state).sum())
+    count = _call_accept(kernel.accept, draws, compacts, levels[:, :, None, None],
+                         masks[:, :, None, None], 1, state[1:, 1, 1:-1, 1:-1],
+                         np.empty(cells * words, np.uint16))
+    return count == flips and (state == want).all()
+
+
 def _build_kernel():
-    """Compile, load and check the draw kernel; None when any step fails."""
-    import ctypes
+    """Compile, load and check both kernels; None when any step fails."""
     import subprocess
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        src, lib = Path(tmp, "draws.c"), Path(tmp, "draws.so")
+        src, lib = Path(tmp, "kernels.c"), Path(tmp, "kernels.so")
         src.write_text(_KERNEL_C)
         try:
             subprocess.run([*_CC, "-o", str(lib), str(src)], check=True, capture_output=True,
                            timeout=120)
-            kernel = ctypes.CDLL(str(lib)).unit_block
-        except (OSError, subprocess.SubprocessError):
+            kernel = ctypes.CDLL(str(lib))
+            draws, accept = kernel.unit_block, kernel.accept
+        except (OSError, AttributeError, subprocess.SubprocessError):
             return None
-    kernel.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_long, ctypes.c_long, ctypes.c_void_p]
-    kernel.restype = None
-    return kernel if _kernel_matches(kernel) else None
+    draws.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_long, ctypes.c_long, ctypes.c_void_p]
+    draws.restype = None
+    accept.argtypes = ([ctypes.c_long] * 3 + [ctypes.c_void_p] * 7 + [ctypes.c_long] * 2
+                       + [ctypes.c_void_p] + [ctypes.c_long] * 2 + [ctypes.c_void_p])
+    accept.restype = ctypes.c_long
+    return kernel if _kernel_matches(kernel) and _accept_matches(kernel) else None
 
 
 def _kernel():
-    """The draw kernel, built once per process on first use; None for the numpy step."""
+    """The compiled kernels, built once per process on first use; None for numpy."""
     global _kernel_handle
     if _kernel_handle is _UNBUILT:
         with _kernel_lock:
@@ -253,7 +396,11 @@ def _kernel():
 
 
 def draw_path() -> str:
-    """``"native"`` when ``unit_block`` runs on the compiled kernel, else ``"numpy"``."""
+    """``"native"`` when draws and flips run on the compiled kernels, else ``"numpy"``.
+
+    The two kernels are built, checked and given up together, so one path
+    serves ``unit_block`` and the engine's acceptance alike.
+    """
     return "numpy" if _kernel() is None else "native"
 
 
@@ -316,8 +463,9 @@ class XoshiroStreams:
     The buffer grows to the largest block asked for, so a caller that steps
     a wide set one column range at a time (the engine's flip tiles) holds
     one range's block, not the whole set's.  The compiled kernel fills a
-    block in one pass; the numpy step, which runs when the kernel cannot be
-    built, also keeps a uint64 step buffer of the same rows.
+    block in one pass; the numpy step, which runs when the compiled kernels
+    cannot be built (``draw_path()``), also keeps a uint64 step buffer of
+    the same rows.
     """
 
     def __init__(self, master_seed: int, n_streams: int, first_stream: int = 0):
@@ -357,7 +505,7 @@ class XoshiroStreams:
             self._k = np.empty(2 * size, dtype=np.uint32)
         kernel = _kernel()
         if kernel is not None:
-            _call_kernel(kernel, self._state, lo, hi, rows, self._k)
+            _call_kernel(kernel.unit_block, self._state, lo, hi, rows, self._k)
             return self._k[: 2 * size].reshape(2 * rows, width)[:count]
         if self._raw.size < size:
             self._raw = np.empty(size, dtype=np.uint64)

@@ -155,7 +155,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("command, key", [
         ("simulate", "warmup"), ("simulate", "tolerance"), ("simulate", "disordered_cap"),
-        ("validate", "warmup"), ("validate", "output"),
+        ("validate", "warmup"), ("validate", "output"),  # output is simulate-only
         ("bench", "tolerance"), ("bench", "disordered_cap"), ("bench", "output"),
         ("bench", "measure_interval"),
     ])
@@ -321,15 +321,6 @@ class TestInputHardening:
         captured = capsys.readouterr()
         assert captured.out == "" and "--output" in captured.err
         assert not (tmp_path / "x.csv").exists()
-
-    @pytest.mark.parametrize("command", ["validate", "bench"])
-    def test_output_config_key_is_simulate_only(self, tmp_path, capsys, command):
-        out = tmp_path / "x.csv"
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"output = {out}\n")
-        self.expect_rejected(capsys, command, "--config", str(cfg), *small(command),
-                             match=f"config key 'output' is not read by {command}")
-        assert not out.exists()
 
     def test_output_config_key_honoured_by_simulate(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import multispin.engine as engine_mod
+from multispin import rng
 from multispin.engine import (
     FLIP_BLUE,
     FLIP_RED,
@@ -554,6 +555,44 @@ class TestTiles:
         assert (traj.abs_m == np.hstack([t.abs_m for t in solo_trajs])).all()
         assert (traj.energy == np.hstack([t.energy for t in solo_trajs])).all()
         assert len(set(traj.energy[-1])) == tiled.n_sim
+
+
+class TestFlipsNumpyPath(TestFlips):
+    """``TestFlips`` and the other flip tests again, on the numpy acceptance (and
+    draws) that run where the compiled kernels cannot be built; the other
+    classes run the active path."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_path(self, monkeypatch):
+        monkeypatch.setattr(rng, "_kernel_handle", None)
+
+    test_flips_make_one_shift_one_add4_four_compacts_per_quarter = (
+        TestKernelCalls.test_flips_make_one_shift_one_add4_four_compacts_per_quarter)
+    test_mask_path_flips_what_limits_accept = (
+        TestAcceptanceMasks.test_mask_path_flips_what_limits_accept)
+    test_tiled_engine_equals_singletons = TestTiles.test_tiled_engine_equals_singletons
+
+
+class TestAcceptancePaths:
+    @pytest.mark.parametrize("tile_sims", [1, 2])
+    @pytest.mark.parametrize("J", [1.0, 0.0, -0.7])
+    @pytest.mark.parametrize("dims", [LatticeDims(4, 32), DIMS, LatticeDims(36, 160),
+                                      LatticeDims(128, 128)], ids=str)
+    def test_compiled_and_numpy_paths_agree(self, monkeypatch, dims, J, tile_sims):
+        # 1, 9, 45 and 128 words per simulation: short rows, and a vector tail
+        if rng.draw_path() != "native":
+            pytest.skip("no compiled kernels on this host")
+        monkeypatch.setattr(engine_mod, "_TILE_STREAMS", tile_sims * dims.cells * dims.words)
+        runs = []
+        for handle in (rng._kernel_handle, None):
+            monkeypatch.setattr(rng, "_kernel_handle", handle)
+            eng = Engine(dims, (1e-6, TC_OVER_J, 1e6), seed=19, coupling=J)
+            for _ in range(5):
+                eng.sweep()
+            runs.append((eng.state, eng.flips))
+        (native, native_flips), (numpy_state, numpy_flips) = runs
+        assert (native == numpy_state).all()
+        assert native_flips == numpy_flips > 0
 
 
 class TestEnergy:

@@ -9,6 +9,8 @@ import pytest
 from scipy.special import erfc, gammaincc
 
 from multispin import rng
+from multispin.engine import Engine
+from multispin.lattice import LatticeDims
 from multispin.rng import (
     ALPHA,
     HistogramReport,
@@ -223,6 +225,31 @@ class TestStreamSet:
         monkeypatch.setattr(rng, "_kernel_matches", lambda k: checks.append(matches(k)) or checks[-1])
         assert self._fresh_build_draws(monkeypatch) == "numpy"
         assert checks == [False]  # it was built and loaded, and the check turned it down
+
+    def test_accept_kernel_failing_its_check_is_not_used(self, monkeypatch):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        dims = LatticeDims(12, 96)
+
+        def sweep_states():
+            eng = Engine(dims, [1e-6, 2.3, 1e6], seed=5, coupling=-0.7)
+            for _ in range(3):
+                eng.sweep()
+            return eng.state, eng.flips
+
+        want_state, want_flips = sweep_states()
+        # a draw equal to the low level accepts: it compiles, loads and steps
+        # the draws right, but flips spins the limits reject
+        broken = rng._KERNEL_C.replace("x < lo", "x <= lo")
+        assert broken != rng._KERNEL_C
+        monkeypatch.setattr(rng, "_KERNEL_C", broken)
+        checks = []
+        matches = rng._accept_matches
+        monkeypatch.setattr(rng, "_accept_matches", lambda k: checks.append(matches(k)) or checks[-1])
+        assert self._fresh_build_draws(monkeypatch) == "numpy"
+        assert checks == [False]
+        state, flips = sweep_states()
+        assert (state == want_state).all() and flips == want_flips
 
     def test_concurrent_first_blocks_build_once(self, monkeypatch):
         # engine slices draw from worker threads; the first blocks race to build
