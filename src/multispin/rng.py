@@ -341,8 +341,9 @@ def _accept_matches(kernel) -> bool:
     sims, cells, words = 3, 3, 19  # 57 words per row leave a vector tail
     levels = np.array([[0, 1 << 22, 5, 1 << 23], [1 << 23, 1 << 22, 1 << 21, 0]], np.uint32)
     masks = take(3, 4)
-    near = levels[:, 1:, None].astype(np.int64) + np.arange(-1, 2)  # (2, sims, 3)
-    choices = np.clip(near.transpose(1, 0, 2).reshape(sims, 6), 0, _MANTISSA)
+    # per simulation, each of its two levels and one either side of it
+    choices = np.clip(levels[:, 1:].T[:, :, None].astype(np.int64) + np.arange(-1, 2),
+                      0, _MANTISSA).reshape(sims, 6)
     picks = take(16, sims, cells, words) % 6
     draws = choices[np.arange(sims)[:, None, None], picks].astype(np.uint32)
     compacts = [take(sims, cells, words) for _ in range(4)]
