@@ -3,11 +3,20 @@
 All functions operate on unsigned 16-bit numpy arrays and treat the last
 axis as the word vector, whose first and last elements are halo words.
 Shifts on uint16 are logical; nothing here sign-extends.
+
+Each function runs on the compiled kernel module that ``rng`` builds on
+first use (``rng.draw_path()`` says ``native``), which reads its inputs in
+place, strided views included, and writes one new C-contiguous array per
+result.  Where that module cannot be built, and for inputs that are not
+uint16, the numpy bodies below run; they are also the oracle the compiled
+kernels are checked against before their first use.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .rng import _kernel, stream_states
 
 __all__ = [
     "MASKS",
@@ -19,6 +28,7 @@ __all__ = [
 
 # Every-fourth-bit selectors for offsets 0..3.
 MASKS = (0x1111, 0x2222, 0x4444, 0x8888)
+_U16 = np.dtype(np.uint16)
 
 
 def _check_vector(v) -> np.ndarray:
@@ -31,7 +41,7 @@ def _check_vector(v) -> np.ndarray:
 
 
 def _check_same_shape(*arrays) -> tuple[np.ndarray, ...]:
-    arrays = tuple(np.asarray(a) for a in arrays)
+    arrays = tuple(map(np.asarray, arrays))
     shape = arrays[0].shape
     for a in arrays[1:]:
         if a.shape != shape:
@@ -39,35 +49,23 @@ def _check_same_shape(*arrays) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def get_bit_above(v: np.ndarray) -> np.ndarray:
-    """Per interior element, the partner word one packed row up.
-
-    Element k of the result is ``(v[k+2] << 15) | (v[k+1] >> 1)``: bits 0..14
-    come from shifting the same word down, bit 15 from the word above it.
-    Output is two elements shorter than the input.
-    """
-    v = _check_vector(v)
-    return (v[..., 2:] << 15) | (v[..., 1:-1] >> 1)
-
-
-def get_bit_below(v: np.ndarray) -> np.ndarray:
-    """Mirror of :func:`get_bit_above`.
-
-    Element k of the result is ``(v[k] >> 15) | (v[k+1] << 1)``; bit 0 comes
-    from the top bit of the word below.
-    """
-    v = _check_vector(v)
+def _shift(kernel, v: np.ndarray, up: bool) -> np.ndarray:
+    """The upward or downward shift of a checked vector, compiled when ``kernel`` is given."""
+    if kernel is not None:
+        out = np.empty((*v.shape[:-1], v.shape[-1] - 2), _U16)
+        kernel.shift(v, out, up)
+        return out
+    if up:
+        return (v[..., 2:] << 15) | (v[..., 1:-1] >> 1)
     return (v[..., :-2] >> 15) | (v[..., 1:-1] << 1)
 
 
-def bitwise_add4(a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Add four one-bit planes per lane into ones/twos/fours place values.
-
-    For every bit lane, ``ones + 2*twos + 4*fours == a + b + c + d``.  Two
-    half adders sum the pairs; their carries can never coincide with the
-    cross carry of the pair sums, so the fours place reduces to an AND.
-    """
-    a, b, c, d = _check_same_shape(a, b, c, d)
+def _add4(kernel, a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The adder on same-shaped arrays, compiled when ``kernel`` is given and all are uint16."""
+    if kernel is not None and a.dtype is b.dtype is c.dtype is d.dtype is _U16:
+        out = np.empty((3, *a.shape), _U16)
+        kernel.bitwise_add4(a, b, c, d, out)
+        return out[0], out[1], out[2]
     s1 = a ^ b
     c1 = a & b
     s2 = c ^ d
@@ -79,6 +77,49 @@ def bitwise_add4(a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ones, twos, fours
 
 
+def _compact(kernel, ones, twos, fours, spins, i: int) -> np.ndarray:
+    """The compact of offset i, compiled when ``kernel`` is given and all are uint16."""
+    if kernel is not None and ones.dtype is twos.dtype is fours.dtype is spins.dtype is _U16:
+        out = np.empty(ones.shape, _U16)
+        kernel.nibble_compact(ones, twos, fours, spins, i, out)
+        return out
+    mask = np.uint16(MASKS[i])
+    ssum = (ones & mask) >> i
+    ssum = ssum + (((twos & mask) >> i) << 1)
+    ssum = ssum + (((fours & mask) >> i) << 2)
+    ssum = ssum + (((spins & mask) >> i) << 3)
+    return ssum
+
+
+def get_bit_above(v: np.ndarray) -> np.ndarray:
+    """Per interior element, the partner word one packed row up.
+
+    Element k of the result is ``(v[k+2] << 15) | (v[k+1] >> 1)``: bits 0..14
+    come from shifting the same word down, bit 15 from the word above it.
+    Output is two elements shorter than the input.
+    """
+    return _shift(_kernel(), _check_vector(v), True)
+
+
+def get_bit_below(v: np.ndarray) -> np.ndarray:
+    """Mirror of :func:`get_bit_above`.
+
+    Element k of the result is ``(v[k] >> 15) | (v[k+1] << 1)``; bit 0 comes
+    from the top bit of the word below.
+    """
+    return _shift(_kernel(), _check_vector(v), False)
+
+
+def bitwise_add4(a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Add four one-bit planes per lane into ones/twos/fours place values.
+
+    For every bit lane, ``ones + 2*twos + 4*fours == a + b + c + d``.  Two
+    half adders sum the pairs; their carries can never coincide with the
+    cross carry of the pair sums, so the fours place reduces to an AND.
+    """
+    return _add4(_kernel(), *_check_same_shape(a, b, c, d))
+
+
 def nibble_compact(ones, twos, fours, spins, i: int) -> np.ndarray:
     """Compact every fourth bit lane (offset i) into 4-bit fields.
 
@@ -88,10 +129,37 @@ def nibble_compact(ones, twos, fours, spins, i: int) -> np.ndarray:
     """
     if not 0 <= i < 4:
         raise IndexError(f"mask index {i} outside [0, 4)")
-    ones, twos, fours, spins = _check_same_shape(ones, twos, fours, spins)
-    mask = np.uint16(MASKS[i])
-    ssum = (ones & mask) >> i
-    ssum = ssum + (((twos & mask) >> i) << 1)
-    ssum = ssum + (((fours & mask) >> i) << 2)
-    ssum = ssum + (((spins & mask) >> i) << 3)
-    return ssum
+    return _compact(_kernel(), *_check_same_shape(ones, twos, fours, spins), i)
+
+
+def _compiled_matches(kernel) -> bool:
+    """Whether ``kernel``'s shift, adder and compacts give the numpy bodies' words.
+
+    A fixed case from splitmix64 words: the strided views ``get_neighbors``
+    makes from a (2, 3, 5, 59) state with halos (57 interior words per row
+    leave a vector tail), 1-D vectors, one of them with a stride of two
+    words, and 0-d words; both shifts, and the compacts at every offset i.
+    """
+    words = stream_states(20, 0, 128).view(np.uint16).ravel()
+    state = words[:1770].reshape(2, 3, 5, 59)
+    lateral, cols, own = state[:, 0], state[:, 1, 1:-1], state[:, 2, 1:-1, 1:-1]
+    flat = words[1770:2030]
+    shifted = [  # (vector to shift, lateral neighbors, own spins)
+        (cols, lateral[:, 2:, 1:-1], lateral[:, 1:-1, 1:-1], own),
+        (flat[::2], flat[130:258], flat[1:129], flat[:128]),
+    ]
+    cases = [tuple(np.asarray(w) for w in words[2030:2035])]  # 0-d: four planes and spins
+    for v, right, left, spins in shifted:
+        above, below = (_shift(kernel, v, up) for up in (True, False))
+        if not (np.array_equal(above, _shift(None, v, True))
+                and np.array_equal(below, _shift(None, v, False))):
+            return False
+        cases.append((right, left, above, v[..., 1:-1], spins))
+    for *planes, spins in cases:
+        sums = _add4(kernel, *planes)
+        if not all(map(np.array_equal, sums, _add4(None, *planes))):
+            return False
+        if not all(np.array_equal(_compact(kernel, *sums, spins, i), _compact(None, *sums, spins, i))
+                   for i in range(4)):
+            return False
+    return True

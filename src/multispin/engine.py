@@ -29,11 +29,12 @@ is below ``limit[sim, c]``.  The flips restate that comparison per draw:
 each draw becomes a 16-bit mask whose bit c is ``k < limit[sim, c]``, built
 from two compares because a Metropolis table has at most two limits other
 than 0 and 2**23, and each spin reads bit c of its own draw's mask.  A
-quarter's neighbor words, adder and four nibble compacts are numpy calls;
-its acceptance -- the masks, the select, the XOR into the target and the
-flip count -- is one call of the compiled kernel that shares its build with
-the draw kernel (``rng.draw_path()``), or, where that cannot be built, the
-same mask select in numpy passes.  Both give the same states.
+quarter makes one shift, one adder and four nibble compacts through this
+module's names, then one acceptance call -- the masks, the select, the XOR
+into the target and the flip count.  All of them run on the compiled
+kernel module that ``rng`` builds (``rng.draw_path()``), or, where that
+cannot be built, as numpy passes: the ``bitkernels`` numpy bodies and the
+same mask select in numpy.  Both give the same states.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .lattice import (
     unpack,
 )
 from .observables import Trajectory
-from .rng import XoshiroStreams, _call_accept, _kernel
+from .rng import XoshiroStreams, _kernel
 
 __all__ = [
     "INIT_MODES",
@@ -405,8 +406,8 @@ class Engine:
         masks, codes, below = self._scratch[b - a]
         kernel = _kernel()
         if kernel is not None:
-            self.flips += _call_accept(kernel.accept, draws, compacts, self._levels,
-                                       self._code_masks, a, interior, masks)
+            self.flips += kernel.accept(draws, *compacts, self._levels, self._code_masks, a,
+                                        interior, masks)
             return
         (low, high), (at_low, at_high, certain) = self._levels[:, a:b], self._code_masks[:, a:b]
         # Bit c of masks[r] is whether draw r accepts code c; codes is scratch here.

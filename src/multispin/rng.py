@@ -11,14 +11,18 @@ the mantissa of a binary32 in [1, 2) and 1.0 is subtracted, yielding
 The xoshiro256++ step exists three times: on python ints (the scalar
 ``Xoshiro256pp``, and the oracle the others are checked against), on uint64
 numpy arrays (``raw_block``), and as a small C kernel that serves
-``XoshiroStreams.unit_block``.  The same C source holds the engine's
-acceptance kernel, which consumes the draws.  Both are compiled with the
-system C compiler on the first ``unit_block`` call of a process, never at
-import, and each is checked before its first use: the draws against the
-python-int step, the acceptance against its mask select restated in numpy.
-Without a compiler, or when the build or either check fails, draws and
-flips both run on numpy and give the same draws and states.
-``draw_path()`` says which path runs.
+``XoshiroStreams.unit_block``.  That kernel is one of five entry points of
+one C source, built as a CPython extension module: ``unit_block``, the
+engine's acceptance (``accept``), and the ``bitkernels`` shift, adder and
+nibble compact.  Each takes numpy arrays through the buffer protocol,
+checks their shapes and layouts in C, and runs without the interpreter
+lock.  The module is compiled with the system C compiler and the
+interpreter's headers on the first kernel call of a process, never at
+import, and checked before its first use: the draws against the python-int
+step, the acceptance against its mask select restated in numpy, and the bit
+kernels against their numpy bodies.  Without a compiler or the headers, or
+when the build or any check fails, all five run on numpy and give the same
+draws and states.  ``draw_path()`` says which path runs.
 
 The quality battery implements the frequency (monobit), block-frequency,
 runs, longest-run-of-ones and cumulative-sums tests at significance 0.01,
@@ -30,7 +34,6 @@ first call, so a process that only draws (every engine) never loads scipy.
 
 from __future__ import annotations
 
-import ctypes
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -175,7 +178,10 @@ def _step_arrays(state: list, count: int, out: np.ndarray | None = None,
     return out
 
 
-# The compiled kernels, one C source built once per process:
+# The compiled kernels, one C source built once per process as an extension
+# module.  Each entry point takes numpy arrays through the buffer protocol,
+# checks their shapes, strides, item sizes and formats in C (ValueError on a
+# mismatch) and runs its loops without the interpreter lock.
 #
 # unit_block: the state words stay in registers for one step of a stream, and
 # both halves go straight into the draw block.  Rows outer and streams inner,
@@ -187,12 +193,23 @@ def _step_arrays(state: list, count: int, out: np.ndarray | None = None,
 # at_high | certain`` and the spin flips when bit ``code`` of that mask is set.
 # Rows are the outer loop, and each row's pass over cells * words sits in a
 # function of its own, so the compiler vectorizes it with per-lane shifts.
+#
+# shift, bitwise_add4, nibble_compact: the bitkernels functions' word
+# arithmetic over inputs of any shape and element strides, one row (the last
+# axis) at a time; a row whose inputs all have unit stride runs a copy of the
+# loop with the strides fixed at 1, which the compiler vectorizes.  Outputs
+# are C-contiguous arrays the caller allocates.
 _KERNEL_C = r"""
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stdint.h>
 #include <string.h>
 
-void unit_block(uint64_t *restrict s0, uint64_t *restrict s1, uint64_t *restrict s2,
-                uint64_t *restrict s3, long width, long rows, uint32_t *restrict k)
+#define INLINE static inline __attribute__((always_inline))
+
+static void
+unit_block(uint64_t *restrict s0, uint64_t *restrict s1, uint64_t *restrict s2,
+           uint64_t *restrict s3, long width, long rows, uint32_t *restrict k)
 {
     for (long r = 0; r < rows; r++, k += 2 * width) {
         for (long j = 0; j < width; j++) {
@@ -219,10 +236,11 @@ accept_row(long n, const uint32_t *restrict k, const uint16_t *restrict compact,
     }
 }
 
-long accept(long sims, long cells, long words, const uint32_t *k,
-            const uint16_t *c0, const uint16_t *c1, const uint16_t *c2, const uint16_t *c3,
-            const uint32_t *levels, const uint16_t *masks, long n_sim, long first,
-            uint16_t *target, long target_sim, long target_cell, uint16_t *restrict flipped)
+static long
+accept(long sims, long cells, long words, const uint32_t *k,
+       const uint16_t *c0, const uint16_t *c1, const uint16_t *c2, const uint16_t *c3,
+       const uint32_t *levels, const uint16_t *masks, long n_sim, long first,
+       uint16_t *target, long target_sim, long target_cell, uint16_t *restrict flipped)
 {
     const uint16_t *compacts[4] = {c0, c1, c2, c3};
     long n = cells * words, count = 0;
@@ -245,65 +263,346 @@ long accept(long sims, long cells, long words, const uint32_t *k,
     }
     return count;
 }
+
+INLINE void
+shift_row(Py_ssize_t n, const uint16_t *v, Py_ssize_t s, int up, uint16_t *restrict out)
+{
+    if (up)
+        for (Py_ssize_t j = 0; j < n; j++)
+            out[j] = (uint16_t)(v[(j + 2) * s] << 15 | v[(j + 1) * s] >> 1);
+    else
+        for (Py_ssize_t j = 0; j < n; j++)
+            out[j] = (uint16_t)(v[j * s] >> 15 | v[(j + 1) * s] << 1);
+}
+
+INLINE void
+add4_row(Py_ssize_t n, const uint16_t *a, Py_ssize_t sa, const uint16_t *b, Py_ssize_t sb,
+         const uint16_t *c, Py_ssize_t sc, const uint16_t *d, Py_ssize_t sd,
+         uint16_t *restrict ones, uint16_t *restrict twos, uint16_t *restrict fours)
+{
+    for (Py_ssize_t j = 0; j < n; j++) {
+        uint16_t s1 = a[j * sa] ^ b[j * sb], c1 = a[j * sa] & b[j * sb];
+        uint16_t s2 = c[j * sc] ^ d[j * sd], c2 = c[j * sc] & d[j * sd];
+        ones[j] = s1 ^ s2;
+        twos[j] = c1 ^ c2 ^ (s1 & s2);
+        fours[j] = c1 & c2;
+    }
+}
+
+INLINE void
+compact_row(Py_ssize_t n, const uint16_t *ones, Py_ssize_t so, const uint16_t *twos,
+            Py_ssize_t st, const uint16_t *fours, Py_ssize_t sf, const uint16_t *spins,
+            Py_ssize_t ss, int i, uint16_t *restrict out)
+{
+    const uint32_t m = 0x1111u << i;
+    for (Py_ssize_t j = 0; j < n; j++)
+        out[j] = (uint16_t)((ones[j * so] & m) >> i | (twos[j * st] & m) >> i << 1
+                            | (fours[j * sf] & m) >> i << 2 | (spins[j * ss] & m) >> i << 3);
+}
+
+/* The buffers one call holds; no entry point takes more than ten. */
+typedef struct { Py_buffer view[10]; int n; } Held;
+
+static PyObject *
+release(Held *held, PyObject *result)
+{
+    while (held->n)
+        PyBuffer_Release(&held->view[--held->n]);
+    return result;
+}
+
+static PyObject *
+invalid(Held *held, const char *what)
+{
+    PyErr_Format(PyExc_ValueError, "%s: arrays of the wrong shape or layout", what);
+    return release(held, NULL);
+}
+
+/* obj's buffer as unsigned words of `size` bytes at an aligned address with
+   whole-word strides; `flags` may add PyBUF_WRITABLE.  NULL with an error
+   set otherwise. */
+static Py_buffer *
+hold(Held *held, PyObject *obj, Py_ssize_t size, int flags)
+{
+    Py_buffer *v = &held->view[held->n];
+    if (PyObject_GetBuffer(obj, v, PyBUF_RECORDS_RO | flags) < 0)
+        return NULL;
+    held->n++;
+    int ok = v->itemsize == size && v->format && v->format[0] && !v->format[1]
+             && strchr("BHILQ", v->format[0]) && (uintptr_t)v->buf % size == 0;
+    for (int ax = 0; ok && ax < v->ndim; ax++)
+        ok = v->strides[ax] % size == 0;
+    if (!ok)
+        PyErr_Format(PyExc_ValueError, "expected unsigned %zd-byte words, aligned", size);
+    return ok ? v : NULL;
+}
+
+static int
+has_shape(const Py_buffer *v, int ndim, const Py_ssize_t *shape)
+{
+    if (v->ndim != ndim)
+        return 0;
+    for (int ax = 0; ax < ndim; ax++)
+        if (v->shape[ax] != shape[ax])
+            return 0;
+    return 1;
+}
+
+static int
+c_contiguous(const Py_buffer *v, int ndim, const Py_ssize_t *shape)
+{
+    return has_shape(v, ndim, shape) && PyBuffer_IsContiguous(v, 'C');
+}
+
+static int
+arity(Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 1;
+    PyErr_Format(PyExc_TypeError, "expected %zd arguments, got %zd", want, nargs);
+    return 0;
+}
+
+static int
+as_index(PyObject *obj, Py_ssize_t *out)
+{
+    *out = PyNumber_AsSsize_t(obj, PyExc_OverflowError);
+    return !(*out == -1 && PyErr_Occurred());
+}
+
+/* Rows are every index of all axes but the last, in C order; a 0-d buffer
+   is one row of one word. */
+static Py_ssize_t
+rows_of(const Py_buffer *v)
+{
+    Py_ssize_t rows = 1;
+    for (int ax = 0; ax + 1 < v->ndim; ax++)
+        rows *= v->shape[ax];
+    return rows;
+}
+
+static Py_ssize_t
+width_of(const Py_buffer *v)
+{
+    return v->ndim ? v->shape[v->ndim - 1] : 1;
+}
+
+static Py_ssize_t
+step_of(const Py_buffer *v)
+{
+    return v->ndim ? v->strides[v->ndim - 1] / v->itemsize : 0;
+}
+
+static const uint16_t *
+row_of(const Py_buffer *v, Py_ssize_t r)
+{
+    const char *p = v->buf;
+    for (int ax = v->ndim - 2; ax >= 0; ax--) {
+        p += r % v->shape[ax] * v->strides[ax];
+        r /= v->shape[ax];
+    }
+    return (const uint16_t *)p;
+}
+
+/* unit_block(state, lo, hi, rows, out): step columns [lo, hi) of a
+   C-contiguous (4, n) uint64 state rows times into a C-contiguous uint32
+   out of at least 2 * rows * (hi - lo) words. */
+static PyObject *
+py_unit_block(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Held held = {.n = 0};
+    Py_buffer *state, *out;
+    Py_ssize_t lo, hi, rows;
+    if (!arity(nargs, 5) || !(state = hold(&held, args[0], 8, PyBUF_WRITABLE))
+        || !as_index(args[1], &lo) || !as_index(args[2], &hi) || !as_index(args[3], &rows)
+        || !(out = hold(&held, args[4], 4, PyBUF_WRITABLE)))
+        return release(&held, NULL);
+    if (state->ndim != 2 || state->shape[0] != 4 || !PyBuffer_IsContiguous(state, 'C')
+        || !(0 <= lo && lo < hi && hi <= state->shape[1]) || rows < 0
+        || !PyBuffer_IsContiguous(out, 'C') || rows > out->len / 4 / (2 * (hi - lo)))
+        return invalid(&held, "unit_block");
+    uint64_t *s = (uint64_t *)state->buf + lo;
+    Py_ssize_t n = state->shape[1];
+    Py_BEGIN_ALLOW_THREADS
+    unit_block(s, s + n, s + 2 * n, s + 3 * n, hi - lo, rows, out->buf);
+    Py_END_ALLOW_THREADS
+    return release(&held, Py_NewRef(Py_None));
+}
+
+/* accept(draws, c0, c1, c2, c3, levels, masks, first, target, flipped): one
+   quarter's accepted flips XORed into target, a (sims, cells, words) view
+   with contiguous words; returns their count.  draws is a C-contiguous
+   (16, sims, cells, words) uint32 block, each compact a C-contiguous
+   (sims, cells, words) uint16 array, levels and masks C-contiguous
+   (2, n_sim, 1, 1) uint32 and (3, n_sim, 1, 1) uint16 arrays read for
+   simulations [first, first + sims), and flipped C-contiguous uint16
+   scratch of at least cells * words words. */
+static PyObject *
+py_accept(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Held held = {.n = 0};
+    Py_buffer *draws, *c[4], *levels, *masks, *target, *flipped;
+    Py_ssize_t first;
+    if (!arity(nargs, 10) || !(draws = hold(&held, args[0], 4, 0))
+        || !(c[0] = hold(&held, args[1], 2, 0)) || !(c[1] = hold(&held, args[2], 2, 0))
+        || !(c[2] = hold(&held, args[3], 2, 0)) || !(c[3] = hold(&held, args[4], 2, 0))
+        || !(levels = hold(&held, args[5], 4, 0)) || !(masks = hold(&held, args[6], 2, 0))
+        || !as_index(args[7], &first) || !(target = hold(&held, args[8], 2, PyBUF_WRITABLE))
+        || !(flipped = hold(&held, args[9], 2, PyBUF_WRITABLE)))
+        return release(&held, NULL);
+    int ok = target->ndim == 3 && target->strides[2] == 2 && levels->ndim == 4;
+    Py_ssize_t block[4] = {16}, n_sim = ok ? levels->shape[1] : 0;
+    Py_ssize_t level_shape[4] = {2, n_sim, 1, 1}, mask_shape[4] = {3, n_sim, 1, 1};
+    if (ok)
+        memcpy(block + 1, target->shape, sizeof block - sizeof *block);
+    ok = ok && c_contiguous(draws, 4, block) && c_contiguous(levels, 4, level_shape)
+         && c_contiguous(masks, 4, mask_shape) && 0 <= first && first <= n_sim - block[1]
+         && PyBuffer_IsContiguous(flipped, 'C') && flipped->len / 2 >= block[2] * block[3];
+    for (int i = 0; ok && i < 4; i++)
+        ok = c_contiguous(c[i], 3, block + 1);
+    if (!ok)
+        return invalid(&held, "accept");
+    long count;
+    Py_BEGIN_ALLOW_THREADS
+    count = accept(block[1], block[2], block[3], draws->buf, c[0]->buf, c[1]->buf, c[2]->buf,
+                   c[3]->buf, levels->buf, masks->buf, n_sim, first, target->buf,
+                   target->strides[0] / 2, target->strides[1] / 2, flipped->buf);
+    Py_END_ALLOW_THREADS
+    return release(&held, PyLong_FromLong(count));
+}
+
+/* shift(v, out, up): every row of v (at least 3 words) shifted one bit up
+   or down into out, C-contiguous and two words shorter per row. */
+static PyObject *
+py_shift(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Held held = {.n = 0};
+    Py_buffer *v, *out;
+    Py_ssize_t shape[PyBUF_MAX_NDIM];
+    int up;
+    if (!arity(nargs, 3) || !(v = hold(&held, args[0], 2, 0))
+        || !(out = hold(&held, args[1], 2, PyBUF_WRITABLE)) || (up = PyObject_IsTrue(args[2])) < 0)
+        return release(&held, NULL);
+    if (v->ndim)
+        memcpy(shape, v->shape, v->ndim * sizeof *shape);
+    if (v->ndim < 1 || (shape[v->ndim - 1] -= 2) < 1 || !c_contiguous(out, v->ndim, shape))
+        return invalid(&held, "shift");
+    Py_ssize_t rows = rows_of(v), n = shape[v->ndim - 1], s = step_of(v);
+    uint16_t *o = out->buf;
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t r = 0; r < rows; r++, o += n) {
+        if (s == 1)
+            shift_row(n, row_of(v, r), 1, up, o);
+        else
+            shift_row(n, row_of(v, r), s, up, o);
+    }
+    Py_END_ALLOW_THREADS
+    return release(&held, Py_NewRef(Py_None));
+}
+
+/* bitwise_add4(a, b, c, d, out): ones, twos and fours of four same-shaped
+   arrays into out, C-contiguous of shape (3, *a.shape). */
+static PyObject *
+py_bitwise_add4(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Held held = {.n = 0};
+    Py_buffer *x[4], *out;
+    Py_ssize_t shape[PyBUF_MAX_NDIM + 1] = {3};
+    if (!arity(nargs, 5))
+        return NULL;
+    for (int i = 0; i < 4; i++)
+        if (!(x[i] = hold(&held, args[i], 2, 0)))
+            return release(&held, NULL);
+    if (!(out = hold(&held, args[4], 2, PyBUF_WRITABLE)))
+        return release(&held, NULL);
+    int nd = x[0]->ndim, ok = 1;
+    for (int i = 1; ok && i < 4; i++)
+        ok = has_shape(x[i], nd, x[0]->shape);
+    if (nd)
+        memcpy(shape + 1, x[0]->shape, nd * sizeof *shape);
+    if (!ok || !c_contiguous(out, nd + 1, shape))
+        return invalid(&held, "bitwise_add4");
+    Py_ssize_t rows = rows_of(x[0]), n = width_of(x[0]), size = out->len / 2 / 3;
+    Py_ssize_t sa = step_of(x[0]), sb = step_of(x[1]), sc = step_of(x[2]), sd = step_of(x[3]);
+    uint16_t *ones = out->buf;
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t r = 0; r < rows; r++, ones += n) {
+        const uint16_t *a = row_of(x[0], r), *b = row_of(x[1], r);
+        const uint16_t *c = row_of(x[2], r), *d = row_of(x[3], r);
+        if (sa == 1 && sb == 1 && sc == 1 && sd == 1)
+            add4_row(n, a, 1, b, 1, c, 1, d, 1, ones, ones + size, ones + 2 * size);
+        else
+            add4_row(n, a, sa, b, sb, c, sc, d, sd, ones, ones + size, ones + 2 * size);
+    }
+    Py_END_ALLOW_THREADS
+    return release(&held, Py_NewRef(Py_None));
+}
+
+/* nibble_compact(ones, twos, fours, spins, i, out): lane offset i of four
+   same-shaped arrays compacted into out, C-contiguous of the same shape. */
+static PyObject *
+py_nibble_compact(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Held held = {.n = 0};
+    Py_buffer *x[4], *out;
+    Py_ssize_t i;
+    if (!arity(nargs, 6) || !as_index(args[4], &i))
+        return NULL;
+    for (int k = 0; k < 4; k++)
+        if (!(x[k] = hold(&held, args[k], 2, 0)))
+            return release(&held, NULL);
+    if (!(out = hold(&held, args[5], 2, PyBUF_WRITABLE)))
+        return release(&held, NULL);
+    int nd = x[0]->ndim, ok = 0 <= i && i < 4 && c_contiguous(out, nd, x[0]->shape);
+    for (int k = 1; ok && k < 4; k++)
+        ok = has_shape(x[k], nd, x[0]->shape);
+    if (!ok)
+        return invalid(&held, "nibble_compact");
+    Py_ssize_t rows = rows_of(x[0]), n = width_of(x[0]);
+    Py_ssize_t so = step_of(x[0]), st = step_of(x[1]), sf = step_of(x[2]), ss = step_of(x[3]);
+    uint16_t *o = out->buf;
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t r = 0; r < rows; r++, o += n) {
+        const uint16_t *ones = row_of(x[0], r), *twos = row_of(x[1], r);
+        const uint16_t *fours = row_of(x[2], r), *spins = row_of(x[3], r);
+        if (so == 1 && st == 1 && sf == 1 && ss == 1)
+            compact_row(n, ones, 1, twos, 1, fours, 1, spins, 1, (int)i, o);
+        else
+            compact_row(n, ones, so, twos, st, fours, sf, spins, ss, (int)i, o);
+    }
+    Py_END_ALLOW_THREADS
+    return release(&held, Py_NewRef(Py_None));
+}
+
+#define ENTRY(name) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
+
+static PyMethodDef methods[] = {
+    ENTRY(unit_block), ENTRY(accept), ENTRY(shift), ENTRY(bitwise_add4), ENTRY(nibble_compact),
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_multispin_kernels", NULL, -1, methods};
+
+PyMODINIT_FUNC
+PyInit__multispin_kernels(void)
+{
+    return PyModule_Create(&module);
+}
 """
 # Plain -O3 targets SSE2, which has no per-lane vector shift: there a 1024x1024
 # sweep took 6.6 ms, slower than the numpy acceptance's 5.5 and the 3.5 of
 # -march=native (2-vCPU Xeon with AVX-512, gcc 12.2).
 _CC = ("cc", "-O3", "-march=native", "-shared", "-fPIC")
+_MODULE = "_multispin_kernels"  # the name PyInit_ carries in _KERNEL_C
 _UNBUILT = object()
-_kernel_handle = _UNBUILT  # the checked kernels' library, None for numpy, or _UNBUILT
+_kernel_handle = _UNBUILT  # the checked kernels' module, None for numpy, or _UNBUILT
 _kernel_lock = threading.Lock()
-
-
-def _address(a: np.ndarray) -> int:
-    """Address of the first element of ``a``.
-
-    numpy's ``ctypes`` attribute costs about 2 µs per read, a quarter of an
-    accept call's overhead per pointer, so a C-contiguous writable array is
-    read through the buffer protocol instead (about 0.7 µs).
-    """
-    if a.flags.c_contiguous and a.flags.writeable:
-        return ctypes.addressof(ctypes.c_char.from_buffer(a))
-    return a.ctypes.data
 
 
 def _call_kernel(kernel, state: np.ndarray, lo: int, hi: int, rows: int, out: np.ndarray) -> None:
     """Step columns [lo, hi) of a C-contiguous (4, n) uint64 state ``rows`` times into
     ``out``, a C-contiguous uint32 array of at least 2 * rows * (hi - lo) elements."""
-    base, stride = _address(state) + 8 * lo, 8 * state.shape[1]
-    kernel(base, base + stride, base + 2 * stride, base + 3 * stride, hi - lo, rows,
-           _address(out))
-
-
-def _call_accept(kernel, draws, compacts, levels, code_masks, first, target, flipped) -> int:
-    """One quarter's accepted flips XORed into ``target``; returns their count.
-
-    ``draws`` is a (16, sims, cells, words) uint32 block and each of the four
-    ``compacts`` a (sims, cells, words) uint16 array.  ``levels`` and
-    ``code_masks`` are an engine's C-contiguous (2, n_sim, 1, 1) uint32
-    compare levels and (3, n_sim, 1, 1) uint16 code masks, read in place for
-    simulations [first, first + sims).  ``target`` is the (sims, cells,
-    words) uint16 view of those simulations' target words, its words
-    contiguous, and ``flipped`` C-contiguous uint16 scratch of at least
-    cells * words elements.
-    """
-    sims, cells, words = shape = target.shape
-    n_sim = levels.shape[1]
-    draws = np.ascontiguousarray(draws)
-    compacts = [np.ascontiguousarray(c) for c in compacts]
-    if (draws.shape != (16, *shape) or draws.dtype != np.uint32 or len(compacts) != 4
-            or any(c.shape != shape or c.dtype != np.uint16 for c in compacts)
-            or levels.shape != (2, n_sim, 1, 1) or levels.dtype != np.uint32
-            or code_masks.shape != (3, n_sim, 1, 1) or code_masks.dtype != np.uint16
-            or not (levels.flags.c_contiguous and code_masks.flags.c_contiguous)
-            or not 0 <= first <= n_sim - sims
-            or target.dtype != np.uint16 or target.strides[2] != target.itemsize
-            or flipped.dtype != np.uint16 or not flipped.flags.c_contiguous
-            or flipped.size < cells * words):
-        raise ValueError("accept: arrays of the wrong shape, dtype or layout")
-    return kernel(sims, cells, words, _address(draws), *map(_address, compacts),
-                  _address(levels), _address(code_masks), n_sim, first, target.ctypes.data,
-                  target.strides[0] // 2, target.strides[1] // 2, _address(flipped))
+    kernel(state, lo, hi, rows, out)
 
 
 def _kernel_matches(kernel) -> bool:
@@ -357,33 +656,34 @@ def _accept_matches(kernel) -> bool:
         mask = (draws[r] < lo) * at_lo | (draws[r] < hi) * at_hi | certain
         want[1:, 1, 1:-1, 1:-1] ^= ((mask >> code) & 1) << (4 * (r % 4) + r // 4)
     flips = int(np.bitwise_count(want ^ state).sum())
-    count = _call_accept(kernel.accept, draws, compacts, levels[:, :, None, None],
-                         masks[:, :, None, None], 1, state[1:, 1, 1:-1, 1:-1],
-                         np.empty(cells * words, np.uint16))
+    count = kernel.accept(draws, *compacts, levels[:, :, None, None], masks[:, :, None, None], 1,
+                          state[1:, 1, 1:-1, 1:-1], np.empty(cells * words, np.uint16))
     return count == flips and (state == want).all()
 
 
 def _build_kernel():
-    """Compile, load and check both kernels; None when any step fails."""
+    """Compile, load and check the kernel module; None when any step fails."""
+    import importlib.machinery
+    import importlib.util
     import subprocess
+    import sysconfig
     import tempfile
+
+    from .bitkernels import _compiled_matches
 
     with tempfile.TemporaryDirectory() as tmp:
         src, lib = Path(tmp, "kernels.c"), Path(tmp, "kernels.so")
         src.write_text(_KERNEL_C)
         try:
-            subprocess.run([*_CC, "-o", str(lib), str(src)], check=True, capture_output=True,
-                           timeout=120)
-            kernel = ctypes.CDLL(str(lib))
-            draws, accept = kernel.unit_block, kernel.accept
-        except (OSError, AttributeError, subprocess.SubprocessError):
+            subprocess.run([*_CC, f"-I{sysconfig.get_path('include')}", "-o", str(lib), str(src)],
+                           check=True, capture_output=True, timeout=120)
+            loader = importlib.machinery.ExtensionFileLoader(_MODULE, str(lib))
+            kernel = importlib.util.module_from_spec(importlib.util.spec_from_loader(_MODULE, loader))
+            loader.exec_module(kernel)
+        except (OSError, ImportError, subprocess.SubprocessError):
             return None
-    draws.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_long, ctypes.c_long, ctypes.c_void_p]
-    draws.restype = None
-    accept.argtypes = ([ctypes.c_long] * 3 + [ctypes.c_void_p] * 7 + [ctypes.c_long] * 2
-                       + [ctypes.c_void_p] + [ctypes.c_long] * 2 + [ctypes.c_void_p])
-    accept.restype = ctypes.c_long
-    return kernel if _kernel_matches(kernel) and _accept_matches(kernel) else None
+    checks = (_kernel_matches, _accept_matches, _compiled_matches)
+    return kernel if all(check(kernel) for check in checks) else None
 
 
 def _kernel():
@@ -397,10 +697,12 @@ def _kernel():
 
 
 def draw_path() -> str:
-    """``"native"`` when draws and flips run on the compiled kernels, else ``"numpy"``.
+    """``"native"`` when all five kernels run compiled, else ``"numpy"``.
 
-    The two kernels are built, checked and given up together, so one path
-    serves ``unit_block`` and the engine's acceptance alike.
+    The draws, the acceptance, the shift, the adder and the compacts are
+    built, checked and given up together, so one path serves
+    ``unit_block``, the engine's acceptance and the ``bitkernels``
+    functions alike.
     """
     return "numpy" if _kernel() is None else "native"
 

@@ -1,8 +1,14 @@
-"""Word-kernel checks: bit traces, exhaustive adder truth, mask coverage."""
+"""Word-kernel checks: bit traces, exhaustive adder truth, mask coverage.
+
+``TestShifts``, ``TestAdd4`` and ``TestNibbleCompact`` run the active path
+(the compiled kernels where they build); their ``NumpyPath`` copies run the
+numpy bodies, and ``TestCompiledAgreesWithNumpy`` compares the two.
+"""
 
 import numpy as np
 import pytest
 
+from multispin import rng
 from multispin.bitkernels import (
     MASKS,
     bitwise_add4,
@@ -10,6 +16,8 @@ from multispin.bitkernels import (
     get_bit_below,
     nibble_compact,
 )
+from multispin.engine import FLIP_BLUE, FLIP_RED, get_neighbors
+from multispin.lattice import LatticeDims
 
 
 def u16(*values):
@@ -137,3 +145,80 @@ class TestNibbleCompact:
 
     def test_masks_tuple(self):
         assert MASKS == (0x1111, 0x2222, 0x4444, 0x8888)
+
+
+class NumpyPath:
+    """Runs a test class's tests on the numpy bodies that serve where the
+    compiled kernels cannot be built."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_path(self, monkeypatch):
+        monkeypatch.setattr(rng, "_kernel_handle", None)
+
+
+class TestShiftsNumpyPath(NumpyPath, TestShifts):
+    pass
+
+
+class TestAdd4NumpyPath(NumpyPath, TestAdd4):
+    pass
+
+
+class TestNibbleCompactNumpyPath(NumpyPath, TestNibbleCompact):
+    pass
+
+
+def _on_both_paths(monkeypatch, results):
+    """``results()`` on the compiled kernels, then on the numpy bodies."""
+    if rng.draw_path() != "native":
+        pytest.skip("no compiled kernels on this host")
+    runs = []
+    for handle in (rng._kernel_handle, None):
+        monkeypatch.setattr(rng, "_kernel_handle", handle)
+        runs.append(results())
+    return runs
+
+
+def _assert_same(native, numpy_words):
+    assert len(native) == len(numpy_words)
+    for x, y in zip(native, numpy_words):
+        assert np.shape(x) == np.shape(y) and np.asarray(x).dtype == np.asarray(y).dtype
+        assert np.array_equal(x, y)
+
+
+class TestCompiledAgreesWithNumpy:
+    @pytest.mark.parametrize("dims, n_sim", [(LatticeDims(4, 32), 2), (LatticeDims(12, 96), 2),
+                                             (LatticeDims(128, 128), 3)], ids=str)
+    def test_every_quarter_of_a_random_state(self, monkeypatch, dims, n_sim):
+        # the strided views get_neighbors makes, halos included
+        state = np.random.default_rng(dims.n + n_sim).integers(
+            0, 1 << 16, (n_sim, 8, dims.cols, dims.vec_len), dtype=np.uint16)
+
+        def results():
+            out = []
+            for target, lateral, vertical, up, right in FLIP_RED + FLIP_BLUE:
+                neighbors = get_neighbors(state[:, lateral.index], state[:, vertical.index], up, right)
+                sums = bitwise_add4(*neighbors)
+                interior = state[:, target.index, 1:-1, 1:-1]
+                out += [*neighbors, *sums, *(nibble_compact(*sums, interior, i) for i in range(4))]
+            return out
+
+        _assert_same(*_on_both_paths(monkeypatch, results))
+
+    def test_vectors_and_single_words(self, monkeypatch):
+        gen = np.random.default_rng(11)
+        # 1-D vectors of several lengths (vector tails), strided ones, 0-d words
+        vectors = [gen.integers(0, 1 << 16, n, dtype=np.uint16) for n in (3, 4, 18, 67, 1030)]
+        vectors += [v[::2] for v in vectors if v.size >= 6] + [vectors[-1][::-3]]
+        words = [np.uint16(w) for w in gen.integers(0, 1 << 16, 5)]
+
+        def results():
+            out = []
+            for v in vectors:
+                planes = [get_bit_above(v), get_bit_below(v), v[1:-1], v[2:], v[:-2]]
+                sums = bitwise_add4(*planes[:4])
+                out += [*planes[:2], *sums, *(nibble_compact(*sums, planes[4], i) for i in range(4))]
+            sums = bitwise_add4(*words[:4])
+            return out + [*sums, *(nibble_compact(*sums, words[4], i) for i in range(4))]
+
+        _assert_same(*_on_both_paths(monkeypatch, results))

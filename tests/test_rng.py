@@ -2,13 +2,14 @@
 
 import shutil
 import sys
+import sysconfig
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.special import erfc, gammaincc
 
-from multispin import rng
+from multispin import bitkernels, rng
 from multispin.engine import Engine
 from multispin.lattice import LatticeDims
 from multispin.rng import (
@@ -250,6 +251,80 @@ class TestStreamSet:
         assert checks == [False]
         state, flips = sweep_states()
         assert (state == want_state).all() and flips == want_flips
+
+    def test_missing_python_headers_fall_back_to_same_draws(self, monkeypatch, tmp_path):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        # an include directory without Python.h: the extension cannot compile
+        monkeypatch.setattr(sysconfig, "get_path", lambda name, *args, **kwargs: str(tmp_path))
+        assert self._fresh_build_draws(monkeypatch) == "numpy"
+
+    def test_bit_kernel_failing_its_check_is_not_used(self, monkeypatch):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        dims = LatticeDims(12, 96)
+
+        def sweep_states():
+            eng = Engine(dims, [1e-6, 2.3, 1e6], seed=5, coupling=-0.7)
+            for _ in range(3):
+                eng.sweep()
+            return eng.state, eng.flips
+
+        want_state, want_flips = sweep_states()
+        # bit 15 of the upward shift lands on bit 14: it compiles, loads, and
+        # the draws and the acceptance pass their checks
+        broken = rng._KERNEL_C.replace("<< 15 |", "<< 14 |")
+        assert rng._KERNEL_C.count("<< 15 |") == 1
+        monkeypatch.setattr(rng, "_KERNEL_C", broken)
+        checks = []
+        matches = bitkernels._compiled_matches
+        monkeypatch.setattr(bitkernels, "_compiled_matches",
+                            lambda k: checks.append(matches(k)) or checks[-1])
+        assert self._fresh_build_draws(monkeypatch) == "numpy"
+        assert checks == [False]
+        state, flips = sweep_states()
+        assert (state == want_state).all() and flips == want_flips
+
+    def test_compiled_entry_points_check_their_arrays(self):
+        # each entry point takes a valid call, and ValueError for one wrong array
+        if draw_path() != "native":
+            pytest.skip("no compiled kernels on this host")
+        kernel = rng._kernel()
+        words = np.zeros((2, 3, 8), np.uint16)
+        calls = {
+            kernel.unit_block: [stream_states(1, 0, 8), 2, 8, 2, np.empty(24, np.uint32)],
+            kernel.shift: [words, np.empty((2, 3, 6), np.uint16), True],
+            kernel.bitwise_add4: [words, words, words, words, np.empty((3, 2, 3, 8), np.uint16)],
+            kernel.nibble_compact: [words, words, words, words, 3, np.empty((2, 3, 8), np.uint16)],
+            kernel.accept: [np.zeros((16, 2, 3, 8), np.uint32), *[words] * 4,
+                            np.zeros((2, 4, 1, 1), np.uint32), np.zeros((3, 4, 1, 1), np.uint16), 2,
+                            np.zeros((2, 5, 10), np.uint16)[:, 1:-1, 1:-1], np.empty(24, np.uint16)],
+        }
+        wrong = [
+            (kernel.unit_block, 0, stream_states(1, 0, 8)[:3]),  # not four state words
+            (kernel.unit_block, 1, 8),  # empty range
+            (kernel.unit_block, 4, np.empty(23, np.uint32)),  # out too small
+            (kernel.unit_block, 4, np.empty(24, np.uint16)),  # wrong item size
+            (kernel.shift, 1, np.empty((2, 3, 7), np.uint16)),
+            (kernel.shift, 1, np.empty((2, 3, 12), np.uint16)[..., ::2]),  # strided output
+            (kernel.bitwise_add4, 3, words[:, :2]),
+            (kernel.bitwise_add4, 0, words.astype(np.uint32)),
+            (kernel.nibble_compact, 4, 4),  # offset outside [0, 4)
+            (kernel.nibble_compact, 2, words[..., :7]),
+            (kernel.accept, 0, np.zeros((16, 2, 3, 7), np.uint32)),
+            (kernel.accept, 1, words[:, :, ::-1]),  # a compact must be C-contiguous
+            (kernel.accept, 6, np.zeros((2, 4, 1, 1), np.uint16)),  # masks of two rows
+            (kernel.accept, 7, 3),  # simulations [3, 5) of 4
+            (kernel.accept, 8, np.zeros((2, 5, 20), np.uint16)[:, 1:-1, 2:-2:2]),  # strided words
+            (kernel.accept, 9, np.empty(23, np.uint16)),  # scratch too small
+        ]
+        for entry, args in calls.items():
+            entry(*args)
+        for entry, position, value in wrong:
+            args = list(calls[entry])
+            args[position] = value
+            with pytest.raises(ValueError, match="wrong shape or layout|unsigned"):
+                entry(*args)
 
     def test_concurrent_first_blocks_build_once(self, monkeypatch):
         # engine slices draw from worker threads; the first blocks race to build
