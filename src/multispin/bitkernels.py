@@ -6,10 +6,13 @@ Shifts on uint16 are logical; nothing here sign-extends.
 
 Each function runs on the compiled kernel module that ``rng`` builds on
 first use (``rng.draw_path()`` says ``native``), which reads its inputs in
-place, strided views included, and writes one new C-contiguous array per
-result.  Where that module cannot be built, and for inputs that are not
-uint16, the numpy bodies below run; they are also the oracle the compiled
-kernels are checked against before their first use.
+place, views included, and writes one new C-contiguous array per result.
+Its loops read aligned uint16 words, each row (the last axis) contiguous.
+Where that module cannot be built, and for inputs of any other dtype or
+layout (a misaligned buffer, a field of a packed record, a strided last
+axis), the numpy bodies below run, with the same results and errors; they
+are also the oracle the compiled kernels are checked against before their
+first use.
 """
 
 from __future__ import annotations
@@ -49,23 +52,38 @@ def _check_same_shape(*arrays) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def _ran(entry, *args) -> bool:
+    """Whether the compiled ``entry`` ran on ``args``.
+
+    The callers have checked shapes and dtypes, so the only ValueError an
+    entry point raises here is for a layout its loops do not read: a
+    misaligned buffer or rows whose words are not contiguous.  Those inputs
+    go to the numpy bodies, with the same results and errors.
+    """
+    try:
+        entry(*args)
+    except ValueError:
+        return False
+    return True
+
+
 def _shift(kernel, v: np.ndarray, up: bool) -> np.ndarray:
-    """The upward or downward shift of a checked vector, compiled when ``kernel`` is given."""
+    """The upward or downward shift of a checked vector, compiled when ``kernel`` reads it."""
     if kernel is not None:
         out = np.empty((*v.shape[:-1], v.shape[-1] - 2), _U16)
-        kernel.shift(v, out, up)
-        return out
+        if _ran(kernel.shift, v, out, up):
+            return out
     if up:
         return (v[..., 2:] << 15) | (v[..., 1:-1] >> 1)
     return (v[..., :-2] >> 15) | (v[..., 1:-1] << 1)
 
 
 def _add4(kernel, a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The adder on same-shaped arrays, compiled when ``kernel`` is given and all are uint16."""
+    """The adder on same-shaped arrays, compiled when ``kernel`` reads them."""
     if kernel is not None and a.dtype is b.dtype is c.dtype is d.dtype is _U16:
         out = np.empty((3, *a.shape), _U16)
-        kernel.bitwise_add4(a, b, c, d, out)
-        return out[0], out[1], out[2]
+        if _ran(kernel.bitwise_add4, a, b, c, d, out):
+            return out[0], out[1], out[2]
     s1 = a ^ b
     c1 = a & b
     s2 = c ^ d
@@ -78,11 +96,11 @@ def _add4(kernel, a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _compact(kernel, ones, twos, fours, spins, i: int) -> np.ndarray:
-    """The compact of offset i, compiled when ``kernel`` is given and all are uint16."""
+    """The compact of offset i, compiled when ``kernel`` reads the arrays."""
     if kernel is not None and ones.dtype is twos.dtype is fours.dtype is spins.dtype is _U16:
         out = np.empty(ones.shape, _U16)
-        kernel.nibble_compact(ones, twos, fours, spins, i, out)
-        return out
+        if _ran(kernel.nibble_compact, ones, twos, fours, spins, i, out):
+            return out
     mask = np.uint16(MASKS[i])
     ssum = (ones & mask) >> i
     ssum = ssum + (((twos & mask) >> i) << 1)
@@ -137,8 +155,8 @@ def _compiled_matches(kernel) -> bool:
 
     A fixed case from splitmix64 words: the strided views ``get_neighbors``
     makes from a (2, 3, 5, 59) state with halos (57 interior words per row
-    leave a vector tail), 1-D vectors, one of them with a stride of two
-    words, and 0-d words; both shifts, and the compacts at every offset i.
+    leave a vector tail), 1-D vectors and 0-d words; both shifts, and the
+    compacts at every offset i.
     """
     words = stream_states(20, 0, 128).view(np.uint16).ravel()
     state = words[:1770].reshape(2, 3, 5, 59)
@@ -146,7 +164,7 @@ def _compiled_matches(kernel) -> bool:
     flat = words[1770:2030]
     shifted = [  # (vector to shift, lateral neighbors, own spins)
         (cols, lateral[:, 2:, 1:-1], lateral[:, 1:-1, 1:-1], own),
-        (flat[::2], flat[130:258], flat[1:129], flat[:128]),
+        (flat[:130], flat[130:258], flat[1:129], flat[132:260]),
     ]
     cases = [tuple(np.asarray(w) for w in words[2030:2035])]  # 0-d: four planes and spins
     for v, right, left, spins in shifted:

@@ -195,17 +195,16 @@ def _step_arrays(state: list, count: int, out: np.ndarray | None = None,
 # function of its own, so the compiler vectorizes it with per-lane shifts.
 #
 # shift, bitwise_add4, nibble_compact: the bitkernels functions' word
-# arithmetic over inputs of any shape and element strides, one row (the last
-# axis) at a time; a row whose inputs all have unit stride runs a copy of the
-# loop with the strides fixed at 1, which the compiler vectorizes.  Outputs
-# are C-contiguous arrays the caller allocates.
+# arithmetic over inputs of any shape, one row (the last axis) at a time.
+# Rows may lie anywhere, but each row's words must be contiguous, so every
+# loop runs at unit stride and the compiler vectorizes it; bitkernels sends
+# inputs of other layouts to its numpy bodies.  Outputs are C-contiguous
+# arrays the caller allocates.
 _KERNEL_C = r"""
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
 #include <string.h>
-
-#define INLINE static inline __attribute__((always_inline))
 
 static void
 unit_block(uint64_t *restrict s0, uint64_t *restrict s1, uint64_t *restrict s2,
@@ -264,40 +263,38 @@ accept(long sims, long cells, long words, const uint32_t *k,
     return count;
 }
 
-INLINE void
-shift_row(Py_ssize_t n, const uint16_t *v, Py_ssize_t s, int up, uint16_t *restrict out)
+static void
+shift_row(Py_ssize_t n, const uint16_t *v, int up, uint16_t *restrict out)
 {
     if (up)
         for (Py_ssize_t j = 0; j < n; j++)
-            out[j] = (uint16_t)(v[(j + 2) * s] << 15 | v[(j + 1) * s] >> 1);
+            out[j] = (uint16_t)(v[j + 2] << 15 | v[j + 1] >> 1);
     else
         for (Py_ssize_t j = 0; j < n; j++)
-            out[j] = (uint16_t)(v[j * s] >> 15 | v[(j + 1) * s] << 1);
+            out[j] = (uint16_t)(v[j] >> 15 | v[j + 1] << 1);
 }
 
-INLINE void
-add4_row(Py_ssize_t n, const uint16_t *a, Py_ssize_t sa, const uint16_t *b, Py_ssize_t sb,
-         const uint16_t *c, Py_ssize_t sc, const uint16_t *d, Py_ssize_t sd,
-         uint16_t *restrict ones, uint16_t *restrict twos, uint16_t *restrict fours)
+static void
+add4_row(Py_ssize_t n, const uint16_t *a, const uint16_t *b, const uint16_t *c,
+         const uint16_t *d, uint16_t *restrict ones, uint16_t *restrict twos,
+         uint16_t *restrict fours)
 {
     for (Py_ssize_t j = 0; j < n; j++) {
-        uint16_t s1 = a[j * sa] ^ b[j * sb], c1 = a[j * sa] & b[j * sb];
-        uint16_t s2 = c[j * sc] ^ d[j * sd], c2 = c[j * sc] & d[j * sd];
+        uint16_t s1 = a[j] ^ b[j], c1 = a[j] & b[j], s2 = c[j] ^ d[j], c2 = c[j] & d[j];
         ones[j] = s1 ^ s2;
         twos[j] = c1 ^ c2 ^ (s1 & s2);
         fours[j] = c1 & c2;
     }
 }
 
-INLINE void
-compact_row(Py_ssize_t n, const uint16_t *ones, Py_ssize_t so, const uint16_t *twos,
-            Py_ssize_t st, const uint16_t *fours, Py_ssize_t sf, const uint16_t *spins,
-            Py_ssize_t ss, int i, uint16_t *restrict out)
+static void
+compact_row(Py_ssize_t n, const uint16_t *ones, const uint16_t *twos, const uint16_t *fours,
+            const uint16_t *spins, int i, uint16_t *restrict out)
 {
     const uint32_t m = 0x1111u << i;
     for (Py_ssize_t j = 0; j < n; j++)
-        out[j] = (uint16_t)((ones[j * so] & m) >> i | (twos[j * st] & m) >> i << 1
-                            | (fours[j * sf] & m) >> i << 2 | (spins[j * ss] & m) >> i << 3);
+        out[j] = (uint16_t)((ones[j] & m) >> i | (twos[j] & m) >> i << 1
+                            | (fours[j] & m) >> i << 2 | (spins[j] & m) >> i << 3);
 }
 
 /* The buffers one call holds; no entry point takes more than ten. */
@@ -387,10 +384,12 @@ width_of(const Py_buffer *v)
     return v->ndim ? v->shape[v->ndim - 1] : 1;
 }
 
-static Py_ssize_t
-step_of(const Py_buffer *v)
+/* Whether each row's words are contiguous; a 0-d buffer or a row of one word
+   is. */
+static int
+unit_rows(const Py_buffer *v)
 {
-    return v->ndim ? v->strides[v->ndim - 1] / v->itemsize : 0;
+    return !v->ndim || v->shape[v->ndim - 1] < 2 || v->strides[v->ndim - 1] == v->itemsize;
 }
 
 static const uint16_t *
@@ -471,8 +470,8 @@ py_accept(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return release(&held, PyLong_FromLong(count));
 }
 
-/* shift(v, out, up): every row of v (at least 3 words) shifted one bit up
-   or down into out, C-contiguous and two words shorter per row. */
+/* shift(v, out, up): every row of v (at least 3 contiguous words) shifted
+   one bit up or down into out, C-contiguous and two words shorter per row. */
 static PyObject *
 py_shift(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -485,23 +484,20 @@ py_shift(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return release(&held, NULL);
     if (v->ndim)
         memcpy(shape, v->shape, v->ndim * sizeof *shape);
-    if (v->ndim < 1 || (shape[v->ndim - 1] -= 2) < 1 || !c_contiguous(out, v->ndim, shape))
+    if (v->ndim < 1 || (shape[v->ndim - 1] -= 2) < 1 || !unit_rows(v)
+        || !c_contiguous(out, v->ndim, shape))
         return invalid(&held, "shift");
-    Py_ssize_t rows = rows_of(v), n = shape[v->ndim - 1], s = step_of(v);
+    Py_ssize_t rows = rows_of(v), n = shape[v->ndim - 1];
     uint16_t *o = out->buf;
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t r = 0; r < rows; r++, o += n) {
-        if (s == 1)
-            shift_row(n, row_of(v, r), 1, up, o);
-        else
-            shift_row(n, row_of(v, r), s, up, o);
-    }
+    for (Py_ssize_t r = 0; r < rows; r++, o += n)
+        shift_row(n, row_of(v, r), up, o);
     Py_END_ALLOW_THREADS
     return release(&held, Py_NewRef(Py_None));
 }
 
 /* bitwise_add4(a, b, c, d, out): ones, twos and fours of four same-shaped
-   arrays into out, C-contiguous of shape (3, *a.shape). */
+   arrays with contiguous rows into out, C-contiguous of shape (3, *a.shape). */
 static PyObject *
 py_bitwise_add4(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -516,30 +512,25 @@ py_bitwise_add4(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (!(out = hold(&held, args[4], 2, PyBUF_WRITABLE)))
         return release(&held, NULL);
     int nd = x[0]->ndim, ok = 1;
-    for (int i = 1; ok && i < 4; i++)
-        ok = has_shape(x[i], nd, x[0]->shape);
+    for (int i = 0; ok && i < 4; i++)
+        ok = has_shape(x[i], nd, x[0]->shape) && unit_rows(x[i]);
     if (nd)
         memcpy(shape + 1, x[0]->shape, nd * sizeof *shape);
     if (!ok || !c_contiguous(out, nd + 1, shape))
         return invalid(&held, "bitwise_add4");
     Py_ssize_t rows = rows_of(x[0]), n = width_of(x[0]), size = out->len / 2 / 3;
-    Py_ssize_t sa = step_of(x[0]), sb = step_of(x[1]), sc = step_of(x[2]), sd = step_of(x[3]);
     uint16_t *ones = out->buf;
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t r = 0; r < rows; r++, ones += n) {
-        const uint16_t *a = row_of(x[0], r), *b = row_of(x[1], r);
-        const uint16_t *c = row_of(x[2], r), *d = row_of(x[3], r);
-        if (sa == 1 && sb == 1 && sc == 1 && sd == 1)
-            add4_row(n, a, 1, b, 1, c, 1, d, 1, ones, ones + size, ones + 2 * size);
-        else
-            add4_row(n, a, sa, b, sb, c, sc, d, sd, ones, ones + size, ones + 2 * size);
-    }
+    for (Py_ssize_t r = 0; r < rows; r++, ones += n)
+        add4_row(n, row_of(x[0], r), row_of(x[1], r), row_of(x[2], r), row_of(x[3], r),
+                 ones, ones + size, ones + 2 * size);
     Py_END_ALLOW_THREADS
     return release(&held, Py_NewRef(Py_None));
 }
 
 /* nibble_compact(ones, twos, fours, spins, i, out): lane offset i of four
-   same-shaped arrays compacted into out, C-contiguous of the same shape. */
+   same-shaped arrays with contiguous rows compacted into out, C-contiguous of
+   the same shape. */
 static PyObject *
 py_nibble_compact(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -554,22 +545,16 @@ py_nibble_compact(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (!(out = hold(&held, args[5], 2, PyBUF_WRITABLE)))
         return release(&held, NULL);
     int nd = x[0]->ndim, ok = 0 <= i && i < 4 && c_contiguous(out, nd, x[0]->shape);
-    for (int k = 1; ok && k < 4; k++)
-        ok = has_shape(x[k], nd, x[0]->shape);
+    for (int k = 0; ok && k < 4; k++)
+        ok = has_shape(x[k], nd, x[0]->shape) && unit_rows(x[k]);
     if (!ok)
         return invalid(&held, "nibble_compact");
     Py_ssize_t rows = rows_of(x[0]), n = width_of(x[0]);
-    Py_ssize_t so = step_of(x[0]), st = step_of(x[1]), sf = step_of(x[2]), ss = step_of(x[3]);
     uint16_t *o = out->buf;
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t r = 0; r < rows; r++, o += n) {
-        const uint16_t *ones = row_of(x[0], r), *twos = row_of(x[1], r);
-        const uint16_t *fours = row_of(x[2], r), *spins = row_of(x[3], r);
-        if (so == 1 && st == 1 && sf == 1 && ss == 1)
-            compact_row(n, ones, 1, twos, 1, fours, 1, spins, 1, (int)i, o);
-        else
-            compact_row(n, ones, so, twos, st, fours, sf, spins, ss, (int)i, o);
-    }
+    for (Py_ssize_t r = 0; r < rows; r++, o += n)
+        compact_row(n, row_of(x[0], r), row_of(x[1], r), row_of(x[2], r), row_of(x[3], r),
+                    (int)i, o);
     Py_END_ALLOW_THREADS
     return release(&held, Py_NewRef(Py_None));
 }

@@ -8,7 +8,7 @@ numpy bodies, and ``TestCompiledAgreesWithNumpy`` compares the two.
 import numpy as np
 import pytest
 
-from multispin import rng
+from multispin import bitkernels, rng
 from multispin.bitkernels import (
     MASKS,
     bitwise_add4,
@@ -16,7 +16,7 @@ from multispin.bitkernels import (
     get_bit_below,
     nibble_compact,
 )
-from multispin.engine import FLIP_BLUE, FLIP_RED, get_neighbors
+from multispin.engine import FLIP_BLUE, FLIP_RED, Engine, get_neighbors
 from multispin.lattice import LatticeDims
 
 
@@ -211,14 +211,41 @@ class TestCompiledAgreesWithNumpy:
         vectors = [gen.integers(0, 1 << 16, n, dtype=np.uint16) for n in (3, 4, 18, 67, 1030)]
         vectors += [v[::2] for v in vectors if v.size >= 6] + [vectors[-1][::-3]]
         words = [np.uint16(w) for w in gen.integers(0, 1 << 16, 5)]
+        _assert_same(*_on_both_paths(monkeypatch, lambda: _vector_results(vectors, words)))
 
-        def results():
-            out = []
-            for v in vectors:
-                planes = [get_bit_above(v), get_bit_below(v), v[1:-1], v[2:], v[:-2]]
-                sums = bitwise_add4(*planes[:4])
-                out += [*planes[:2], *sums, *(nibble_compact(*sums, planes[4], i) for i in range(4))]
-            sums = bitwise_add4(*words[:4])
-            return out + [*sums, *(nibble_compact(*sums, words[4], i) for i in range(4))]
+    def test_misaligned_and_packed_words(self, monkeypatch):
+        # layouts the compiled loops do not read: an odd address, a field of a
+        # packed record (3-byte stride), a strided last axis
+        gen = np.random.default_rng(12)
+        raw = gen.integers(0, 1 << 8, 2 * 40 + 1, dtype=np.uint8).tobytes()
+        packed = np.zeros(40, np.dtype([("tag", np.uint8), ("word", np.uint16)]))
+        packed["word"] = gen.integers(0, 1 << 16, 40)
+        vectors = [np.frombuffer(raw, np.uint16, offset=1), packed["word"],
+                   np.frombuffer(bytes(9), np.uint16, offset=1)]
+        words = [vectors[0][i:i + 1].reshape(()) for i in (3, 5, 7, 9)]  # 0-d views
+        words.append(packed["word"][8:9].reshape(()))  # at byte 25 of the record array
+        assert not any(v.flags.aligned for v in vectors[::2] + words)
+        assert packed["word"].strides == (3,)
+        _assert_same(*_on_both_paths(monkeypatch, lambda: _vector_results(vectors, words)))
 
-        _assert_same(*_on_both_paths(monkeypatch, results))
+
+    def test_engine_inputs_run_compiled(self, monkeypatch):
+        # every shift, adder and compact of a sweep reads the engine's views in place
+        if rng.draw_path() != "native":
+            pytest.skip("no compiled kernels on this host")
+        ran, run = [], bitkernels._ran
+        monkeypatch.setattr(bitkernels, "_ran", lambda *args: ran.append(run(*args)) or ran[-1])
+        Engine(LatticeDims(12, 96), [2.0, 2.5], seed=3).sweep()
+        assert ran and all(ran)
+
+
+def _vector_results(vectors, words):
+    """Both shifts, the sums and every compact of each 1-D vector, and the
+    sums and compacts of five single words."""
+    out = []
+    for v in vectors:
+        planes = [get_bit_above(v), get_bit_below(v), v[1:-1], v[2:], v[:-2]]
+        sums = bitwise_add4(*planes[:4])
+        out += [*planes[:2], *sums, *(nibble_compact(*sums, planes[4], i) for i in range(4))]
+    sums = bitwise_add4(*words[:4])
+    return out + [*sums, *(nibble_compact(*sums, words[4], i) for i in range(4))]

@@ -291,6 +291,8 @@ class TestStreamSet:
             pytest.skip("no compiled kernels on this host")
         kernel = rng._kernel()
         words = np.zeros((2, 3, 8), np.uint16)
+        strided = np.zeros((2, 3, 16), np.uint16)[..., ::2]  # words two apart within a row
+        misaligned = np.frombuffer(bytes(97), np.uint16, offset=1).reshape(words.shape)
         calls = {
             kernel.unit_block: [stream_states(1, 0, 8), 2, 8, 2, np.empty(24, np.uint32)],
             kernel.shift: [words, np.empty((2, 3, 6), np.uint16), True],
@@ -307,6 +309,12 @@ class TestStreamSet:
             (kernel.unit_block, 4, np.empty(24, np.uint16)),  # wrong item size
             (kernel.shift, 1, np.empty((2, 3, 7), np.uint16)),
             (kernel.shift, 1, np.empty((2, 3, 12), np.uint16)[..., ::2]),  # strided output
+            (kernel.shift, 0, strided),
+            (kernel.shift, 0, misaligned),
+            (kernel.bitwise_add4, 2, strided),
+            (kernel.bitwise_add4, 1, misaligned),
+            (kernel.nibble_compact, 3, strided),
+            (kernel.nibble_compact, 0, misaligned),
             (kernel.bitwise_add4, 3, words[:, :2]),
             (kernel.bitwise_add4, 0, words.astype(np.uint32)),
             (kernel.nibble_compact, 4, 4),  # offset outside [0, 4)
