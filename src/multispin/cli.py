@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import bitkernels, engine as engine_mod
+from . import engine as engine_mod
 from .engine import INIT_MODES, Engine, neighbor_codes, run_simulations
 from .lattice import LatticeDims, TC_OVER_J, check_temperature, pack, unpack
 from .observables import MIN_EQUILIBRATION_SAMPLES, Trajectory, summarize
@@ -488,7 +488,7 @@ def _selftest_checks():
 
     def check_adder():
         a, b, c, d = (np.uint16(x) for x in (0xFF00, 0xF0F0, 0xCCCC, 0xAAAA))
-        ones, twos, fours = bitkernels.bitwise_add4(a, b, c, d)
+        ones, twos, fours = engine_mod.bitwise_add4(a, b, c, d)
         for bit in range(16):
             total = sum((int(x) >> bit) & 1 for x in (a, b, c, d))
             got = ((int(ones) >> bit) & 1) + 2 * ((int(twos) >> bit) & 1) + 4 * ((int(fours) >> bit) & 1)

@@ -31,10 +31,10 @@ from two compares because a Metropolis table has at most two limits other
 than 0 and 2**23, and each spin reads bit c of its own draw's mask.  A
 quarter makes one shift, one adder and four nibble compacts through this
 module's names, then one acceptance call -- the masks, the select, the XOR
-into the target and the flip count.  All of them run on the compiled
-kernel module that ``rng`` builds (``rng.draw_path()``), or, where that
-cannot be built, as numpy passes: the ``bitkernels`` numpy bodies and the
-same mask select in numpy.  Both give the same states.
+into the target and the flip count.  Where ``rng`` builds its kernel module
+(``rng.draw_path()``), all of them run its compiled entry points; where it
+cannot, they run the numpy ``bitkernels`` functions and the same mask
+select in numpy.  Both give the same states.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .bitkernels import bitwise_add4, get_bit_above, get_bit_below, nibble_compact
+from . import bitkernels
 from .lattice import (
     ALL_CODES,
     BOUNDARY_RULES,
@@ -60,7 +60,7 @@ from .lattice import (
     unpack,
 )
 from .observables import Trajectory
-from .rng import XoshiroStreams, _kernel
+from .rng import XoshiroStreams, _kernel, stream_states
 
 __all__ = [
     "INIT_MODES",
@@ -170,11 +170,83 @@ def _acceptance_masks(limits) -> tuple[np.ndarray, np.ndarray]:
             masks.astype(np.uint16).reshape(3, -1, 1, 1))
 
 
+def _shift(kernel, v: np.ndarray, up: bool) -> np.ndarray:
+    """The upward or downward shift of ``v`` on ``kernel``; numpy when it is None."""
+    if kernel is None:
+        return (bitkernels.get_bit_above if up else bitkernels.get_bit_below)(v)
+    out = np.empty((*v.shape[:-1], v.shape[-1] - 2), np.uint16)
+    kernel.shift(v, out, up)
+    return out
+
+
+def _add4(kernel, a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The adder on ``kernel``; numpy when it is None."""
+    if kernel is None:
+        return bitkernels.bitwise_add4(a, b, c, d)
+    out = np.empty((3, *a.shape), np.uint16)
+    kernel.bitwise_add4(a, b, c, d, out)
+    return out[0], out[1], out[2]
+
+
+def _compact(kernel, ones, twos, fours, spins, i: int) -> np.ndarray:
+    """The compact of offset i on ``kernel``; numpy when it is None."""
+    if kernel is None:
+        return bitkernels.nibble_compact(ones, twos, fours, spins, i)
+    out = np.empty(ones.shape, np.uint16)
+    kernel.nibble_compact(ones, twos, fours, spins, i, out)
+    return out
+
+
+def get_bit_above(v: np.ndarray) -> np.ndarray:
+    """``bitkernels.get_bit_above`` on the compiled kernels where they are built."""
+    return _shift(_kernel(), v, True)
+
+
+def get_bit_below(v: np.ndarray) -> np.ndarray:
+    """``bitkernels.get_bit_below`` on the compiled kernels where they are built."""
+    return _shift(_kernel(), v, False)
+
+
+def bitwise_add4(a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``bitkernels.bitwise_add4`` on the compiled kernels where they are built."""
+    return _add4(_kernel(), a, b, c, d)
+
+
+def nibble_compact(ones, twos, fours, spins, i: int) -> np.ndarray:
+    """``bitkernels.nibble_compact`` on the compiled kernels where they are built."""
+    return _compact(_kernel(), ones, twos, fours, spins, i)
+
+
+def _compiled_matches(kernel) -> bool:
+    """Whether ``kernel``'s shift, adder and compacts give the ``bitkernels`` words.
+
+    A fixed case from splitmix64 words: a (2, 8, 5, 59) state with halos (two
+    simulations; 57 interior words per row leave a vector tail) and the views
+    every quarter makes of it, through both shifts, the adder and the
+    compacts at every offset i.
+    """
+    state = stream_states(20, 0, 295).view(np.uint16).reshape(2, 8, 5, 59)
+    for target, lateral, vertical, up, right in FLIP_RED + FLIP_BLUE:
+        lat, cols = state[:, lateral.index, :, 1:-1], state[:, vertical.index, 1:-1]
+        sides = (lat[:, 2:] if right else lat[:, :-2], lat[:, 1:-1])
+        spins = state[:, target.index, 1:-1, 1:-1]
+        runs = []
+        for k in (kernel, None):
+            shifted = _shift(k, cols, up)
+            sums = _add4(k, *sides, shifted, cols[..., 1:-1])
+            runs.append([shifted, *sums, *(_compact(k, *sums, spins, i) for i in range(4))])
+        if not all(map(np.array_equal, *runs)):
+            return False
+    return True
+
+
 def get_neighbors(lateral: np.ndarray, vertical: np.ndarray, up: bool, right: bool):
     """Neighbor words for every interior (cell, word) of one target array.
 
     ``lateral`` and ``vertical`` are the full (..., cells+2, words+2)
-    matrices of the two partner arrays with current halos.  Returns
+    matrices of the two partner arrays with current halos, in the packed
+    layout of ``pack`` and ``Engine.state``: uint16 words, each row (the
+    last axis) contiguous; the compiled shift reads no other.  Returns
     (right, left, top, bottom) uint16 arrays of shape (..., cells, words)
     aligned with the target's interior words: the right flag selects lateral
     cells (gamma, gamma+1) versus (gamma-1, gamma); the up flag selects a
@@ -255,9 +327,11 @@ def _quarter_codes(state: np.ndarray, target: ArrayCode, lateral: ArrayCode,
 def neighbor_codes(packed: PackedArrays) -> np.ndarray:
     """Per-spin 4-bit acceptance codes via the flips' own code path.
 
-    Requires current halos.  Returns a flat array over linear spin indices
-    holding ``8*own_bit + neighbor_up_count`` for every site, for auditing
-    against a plain-lattice count.
+    Requires current halos, and ``packed.words`` in the layout that ``pack``
+    and ``Engine.packed`` produce (uint16 words, each row contiguous), which
+    the compiled kernels read in place.  Returns a flat array over linear
+    spin indices holding ``8*own_bit + neighbor_up_count`` for every site,
+    for auditing against a plain-lattice count.
     """
     dims = packed.dims
     out = np.empty((dims.m, dims.n), dtype=np.uint8)

@@ -12,17 +12,19 @@ The xoshiro256++ step exists three times: on python ints (the scalar
 ``Xoshiro256pp``, and the oracle the others are checked against), on uint64
 numpy arrays (``raw_block``), and as a small C kernel that serves
 ``XoshiroStreams.unit_block``.  That kernel is one of five entry points of
-one C source, built as a CPython extension module: ``unit_block``, the
-engine's acceptance (``accept``), and the ``bitkernels`` shift, adder and
-nibble compact.  Each takes numpy arrays through the buffer protocol,
-checks their shapes and layouts in C, and runs without the interpreter
-lock.  The module is compiled with the system C compiler and the
-interpreter's headers on the first kernel call of a process, never at
-import, and checked before its first use: the draws against the python-int
-step, the acceptance against its mask select restated in numpy, and the bit
-kernels against their numpy bodies.  Without a compiler or the headers, or
-when the build or any check fails, all five run on numpy and give the same
-draws and states.  ``draw_path()`` says which path runs.
+one C source, built as a CPython extension module: ``unit_block``, and the
+engine's quarter-flip kernels -- the shift, adder and nibble compact that
+``engine.get_bit_above``, ``get_bit_below``, ``bitwise_add4`` and
+``nibble_compact`` call, and the acceptance (``accept``).  Each takes numpy
+arrays through the buffer protocol, checks their shapes and layouts in C,
+and runs without the interpreter lock.  The module is compiled with the
+system C compiler and the interpreter's headers on the first kernel call of
+a process, never at import, and checked before its first use: the draws
+against the python-int step, the acceptance against its mask select
+restated in numpy, and the bit kernels against the numpy ``bitkernels``
+functions (``engine._compiled_matches``).  Without a compiler or the
+headers, or when the build or any check fails, all five run on numpy and
+give the same draws and states.  ``draw_path()`` says which path runs.
 
 The quality battery implements the frequency (monobit), block-frequency,
 runs, longest-run-of-ones and cumulative-sums tests at significance 0.01,
@@ -145,15 +147,15 @@ _HIGH_HALF = np.uint64(32)  # unit_block: the high draw starts at bit 32 of an o
 _DRAW_BITS = np.uint32(_MANTISSA)  # unit_block: the 23 bits of a half that make its draw
 
 
-def _step_arrays(state: list, count: int, out: np.ndarray | None = None,
+def _step_arrays(state: np.ndarray, count: int, out: np.ndarray | None = None,
                  scratch: np.ndarray | None = None) -> np.ndarray:
     """(count, streams) outputs of many streams as uint64 arrays; advances ``state`` in place.
 
-    ``state`` holds four uint64 arrays (or views), one per state word; uint64
-    arithmetic wraps modulo 2**64, so no masks are needed.  The outputs go
-    into ``out`` when given (a (count, streams) uint64 array), else into a
-    new array; ``scratch``, a uint64 array shaped like one state word, is the
-    step's only temporary and is allocated when not given.
+    ``state`` is a (4, streams) uint64 array (or view), one row per state
+    word; uint64 arithmetic wraps modulo 2**64, so no masks are needed.  The
+    outputs go into ``out`` when given (a (count, streams) uint64 array),
+    else into a new array; ``scratch``, a uint64 array shaped like one state
+    word, is the step's only temporary and is allocated when not given.
     """
     s0, s1, s2, s3 = state
     if out is None:
@@ -196,10 +198,10 @@ def _step_arrays(state: list, count: int, out: np.ndarray | None = None,
 #
 # shift, bitwise_add4, nibble_compact: the bitkernels functions' word
 # arithmetic over inputs of any shape, one row (the last axis) at a time.
-# Rows may lie anywhere, but each row's words must be contiguous, so every
-# loop runs at unit stride and the compiler vectorizes it; bitkernels sends
-# inputs of other layouts to its numpy bodies.  Outputs are C-contiguous
-# arrays the caller allocates.
+# Rows may lie anywhere, but each row's words must be aligned and contiguous,
+# as in the engine's packed state, so every loop runs at unit stride and the
+# compiler vectorizes it; any other layout raises ValueError.  Outputs are
+# C-contiguous arrays the caller (the engine's quarter) allocates.
 _KERNEL_C = r"""
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -654,7 +656,7 @@ def _build_kernel():
     import sysconfig
     import tempfile
 
-    from .bitkernels import _compiled_matches
+    from .engine import _compiled_matches
 
     with tempfile.TemporaryDirectory() as tmp:
         src, lib = Path(tmp, "kernels.c"), Path(tmp, "kernels.so")
@@ -686,8 +688,8 @@ def draw_path() -> str:
 
     The draws, the acceptance, the shift, the adder and the compacts are
     built, checked and given up together, so one path serves
-    ``unit_block``, the engine's acceptance and the ``bitkernels``
-    functions alike.
+    ``unit_block`` and every kernel of the engine's quarter-flips alike.
+    Direct ``bitkernels`` calls run numpy on either path.
     """
     return "numpy" if _kernel() is None else "native"
 
@@ -764,7 +766,6 @@ class XoshiroStreams:
         self.first_stream = int(first_stream)
         # (4, n_streams), C-contiguous: the kernel steps it through raw pointers
         self._state = stream_states(self.master_seed, self.first_stream, self.n_streams)
-        self._s = list(self._state)
         # numpy-step temporary; only the widest range stepped touches its pages
         self._x = np.empty(self.n_streams, dtype=np.uint64)
         self._raw = np.empty(0, dtype=np.uint64)  # numpy-step output buffer
@@ -772,7 +773,7 @@ class XoshiroStreams:
 
     def raw_block(self, count: int) -> np.ndarray:
         """(count, n_streams) uint64 block; row k is every stream's k-th output."""
-        return _step_arrays(self._s, count)
+        return _step_arrays(self._state, count)
 
     def unit_block(self, count: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """(count, hi - lo) uint32 block of k over streams [lo, hi); the draw is k * 2**-23.
@@ -797,7 +798,7 @@ class XoshiroStreams:
             return self._k[: 2 * size].reshape(2 * rows, width)[:count]
         if self._raw.size < size:
             self._raw = np.empty(size, dtype=np.uint64)
-        raw = _step_arrays([s[lo:hi] for s in self._s], rows,
+        raw = _step_arrays(self._state[:, lo:hi], rows,
                            out=self._raw[:size].reshape(rows, width), scratch=self._x[:width])
         k = self._k[: 2 * size].reshape(rows, 2, width)
         np.right_shift(raw, _HIGH_HALF, out=k[:, 0], casting="unsafe")

@@ -1,13 +1,15 @@
 """Word-kernel checks: bit traces, exhaustive adder truth, mask coverage.
 
-``TestShifts``, ``TestAdd4`` and ``TestNibbleCompact`` run the active path
-(the compiled kernels where they build); their ``NumpyPath`` copies run the
-numpy bodies, and ``TestCompiledAgreesWithNumpy`` compares the two.
+``TestShifts``, ``TestAdd4`` and ``TestNibbleCompact`` run the numpy
+``bitkernels`` functions; ``TestCompiledAgreesWithNumpy`` compares the
+engine's kernel names, which call the compiled kernels where they build,
+with them.
 """
 
 import numpy as np
 import pytest
 
+import multispin.engine as engine_mod
 from multispin import bitkernels, rng
 from multispin.bitkernels import (
     MASKS,
@@ -16,7 +18,7 @@ from multispin.bitkernels import (
     get_bit_below,
     nibble_compact,
 )
-from multispin.engine import FLIP_BLUE, FLIP_RED, Engine, get_neighbors
+from multispin.engine import FLIP_BLUE, FLIP_RED
 from multispin.lattice import LatticeDims
 
 
@@ -147,36 +149,15 @@ class TestNibbleCompact:
         assert MASKS == (0x1111, 0x2222, 0x4444, 0x8888)
 
 
-class NumpyPath:
-    """Runs a test class's tests on the numpy bodies that serve where the
-    compiled kernels cannot be built."""
-
-    @pytest.fixture(autouse=True)
-    def numpy_path(self, monkeypatch):
-        monkeypatch.setattr(rng, "_kernel_handle", None)
-
-
-class TestShiftsNumpyPath(NumpyPath, TestShifts):
-    pass
-
-
-class TestAdd4NumpyPath(NumpyPath, TestAdd4):
-    pass
-
-
-class TestNibbleCompactNumpyPath(NumpyPath, TestNibbleCompact):
-    pass
-
-
 def _on_both_paths(monkeypatch, results):
-    """``results()`` on the compiled kernels, then on the numpy bodies."""
+    """``results()`` through the engine's kernel names on the compiled kernels,
+    then with those names bound to the ``bitkernels`` functions."""
     if rng.draw_path() != "native":
         pytest.skip("no compiled kernels on this host")
-    runs = []
-    for handle in (rng._kernel_handle, None):
-        monkeypatch.setattr(rng, "_kernel_handle", handle)
-        runs.append(results())
-    return runs
+    runs = [results()]
+    for name in ("get_bit_above", "get_bit_below", "bitwise_add4", "nibble_compact"):
+        monkeypatch.setattr(engine_mod, name, getattr(bitkernels, name))
+    return runs + [results()]
 
 
 def _assert_same(native, numpy_words):
@@ -188,64 +169,24 @@ def _assert_same(native, numpy_words):
 
 class TestCompiledAgreesWithNumpy:
     @pytest.mark.parametrize("dims, n_sim", [(LatticeDims(4, 32), 2), (LatticeDims(12, 96), 2),
-                                             (LatticeDims(128, 128), 3)], ids=str)
+                                             (LatticeDims(128, 128), 3), (LatticeDims(12, 96), None)],
+                             ids=str)
     def test_every_quarter_of_a_random_state(self, monkeypatch, dims, n_sim):
-        # the strided views get_neighbors makes, halos included
-        state = np.random.default_rng(dims.n + n_sim).integers(
-            0, 1 << 16, (n_sim, 8, dims.cols, dims.vec_len), dtype=np.uint16)
+        # the strided views get_neighbors makes, halos included; n_sim None is
+        # one simulation's 2-D matrices, as Engine.packed and pack give them
+        lead = () if n_sim is None else (n_sim,)
+        state = np.random.default_rng(dims.n + (n_sim or 0)).integers(
+            0, 1 << 16, (*lead, 8, dims.cols, dims.vec_len), dtype=np.uint16)
 
         def results():
             out = []
             for target, lateral, vertical, up, right in FLIP_RED + FLIP_BLUE:
-                neighbors = get_neighbors(state[:, lateral.index], state[:, vertical.index], up, right)
-                sums = bitwise_add4(*neighbors)
-                interior = state[:, target.index, 1:-1, 1:-1]
-                out += [*neighbors, *sums, *(nibble_compact(*sums, interior, i) for i in range(4))]
+                neighbors = engine_mod.get_neighbors(state[..., lateral.index, :, :],
+                                                     state[..., vertical.index, :, :], up, right)
+                sums = engine_mod.bitwise_add4(*neighbors)
+                interior = state[..., target.index, 1:-1, 1:-1]
+                out += [*neighbors, *sums,
+                        *(engine_mod.nibble_compact(*sums, interior, i) for i in range(4))]
             return out
 
         _assert_same(*_on_both_paths(monkeypatch, results))
-
-    def test_vectors_and_single_words(self, monkeypatch):
-        gen = np.random.default_rng(11)
-        # 1-D vectors of several lengths (vector tails), strided ones, 0-d words
-        vectors = [gen.integers(0, 1 << 16, n, dtype=np.uint16) for n in (3, 4, 18, 67, 1030)]
-        vectors += [v[::2] for v in vectors if v.size >= 6] + [vectors[-1][::-3]]
-        words = [np.uint16(w) for w in gen.integers(0, 1 << 16, 5)]
-        _assert_same(*_on_both_paths(monkeypatch, lambda: _vector_results(vectors, words)))
-
-    def test_misaligned_and_packed_words(self, monkeypatch):
-        # layouts the compiled loops do not read: an odd address, a field of a
-        # packed record (3-byte stride), a strided last axis
-        gen = np.random.default_rng(12)
-        raw = gen.integers(0, 1 << 8, 2 * 40 + 1, dtype=np.uint8).tobytes()
-        packed = np.zeros(40, np.dtype([("tag", np.uint8), ("word", np.uint16)]))
-        packed["word"] = gen.integers(0, 1 << 16, 40)
-        vectors = [np.frombuffer(raw, np.uint16, offset=1), packed["word"],
-                   np.frombuffer(bytes(9), np.uint16, offset=1)]
-        words = [vectors[0][i:i + 1].reshape(()) for i in (3, 5, 7, 9)]  # 0-d views
-        words.append(packed["word"][8:9].reshape(()))  # at byte 25 of the record array
-        assert not any(v.flags.aligned for v in vectors[::2] + words)
-        assert packed["word"].strides == (3,)
-        _assert_same(*_on_both_paths(monkeypatch, lambda: _vector_results(vectors, words)))
-
-
-    def test_engine_inputs_run_compiled(self, monkeypatch):
-        # every shift, adder and compact of a sweep reads the engine's views in place
-        if rng.draw_path() != "native":
-            pytest.skip("no compiled kernels on this host")
-        ran, run = [], bitkernels._ran
-        monkeypatch.setattr(bitkernels, "_ran", lambda *args: ran.append(run(*args)) or ran[-1])
-        Engine(LatticeDims(12, 96), [2.0, 2.5], seed=3).sweep()
-        assert ran and all(ran)
-
-
-def _vector_results(vectors, words):
-    """Both shifts, the sums and every compact of each 1-D vector, and the
-    sums and compacts of five single words."""
-    out = []
-    for v in vectors:
-        planes = [get_bit_above(v), get_bit_below(v), v[1:-1], v[2:], v[:-2]]
-        sums = bitwise_add4(*planes[:4])
-        out += [*planes[:2], *sums, *(nibble_compact(*sums, planes[4], i) for i in range(4))]
-    sums = bitwise_add4(*words[:4])
-    return out + [*sums, *(nibble_compact(*sums, words[4], i) for i in range(4))]

@@ -193,14 +193,32 @@ class TestNeighborCodes:
                 assert (codes[:, s] == want).all()
 
 
+class _CountingKernel:
+    """Forwards to a kernel module, counting the calls of each entry point."""
+
+    def __init__(self, kernel, calls: collections.Counter):
+        self._kernel, self._calls = kernel, calls
+
+    def __getattr__(self, name):
+        entry = getattr(self._kernel, name)
+
+        def counted(*args):
+            self._calls[name] += 1
+            return entry(*args)
+
+        return counted
+
+
 class TestKernelCalls:
     def test_flips_make_one_shift_one_add4_four_compacts_per_quarter(self, monkeypatch):
-        """One sweep makes 8 shifts, 8 add4s and 32 compacts; measuring makes none.
+        """Each quarter of each tile makes one shift, one add4 and four compacts;
+        measuring makes none.
 
-        perfbench/test_smoke.py pins the same 48 calls per sweep through its
-        tracer.  Bit-sliced acceptance (ROADMAP item 3) drops the compacts, so
-        it changes this count together with that pin (ROADMAP item 1).
+        On the native path every one of those calls reaches its compiled entry
+        point.  perfbench/test_smoke.py pins the same calls through its tracer,
+        on a one-tile shape.
         """
+        monkeypatch.setattr(engine_mod, "_TILE_STREAMS", DIMS.cells * DIMS.words)
         calls = collections.Counter()
         for name in ("get_bit_above", "get_bit_below", "bitwise_add4", "nibble_compact"):
             def counted(*args, _name=name, _kernel=getattr(engine_mod, name), **kwargs):
@@ -208,15 +226,26 @@ class TestKernelCalls:
                 return _kernel(*args, **kwargs)
 
             monkeypatch.setattr(engine_mod, name, counted)
+        entries = collections.Counter()
+        kernel = rng._kernel()
+        if kernel is not None:
+            monkeypatch.setattr(rng, "_kernel_handle", _CountingKernel(kernel, entries))
         eng = Engine(DIMS, [2.0, 2.5], seed=18)
+        quarters = 8 * len(eng._tiles)
+        assert len(eng._tiles) == 2
         eng.sweep()
-        assert calls["get_bit_above"] + calls["get_bit_below"] == 8
-        assert calls["bitwise_add4"] == 8
-        assert calls["nibble_compact"] == 32
+        assert calls["get_bit_above"] + calls["get_bit_below"] == quarters
+        assert calls["bitwise_add4"] == quarters
+        assert calls["nibble_compact"] == 4 * quarters
+        if kernel is not None:
+            assert entries["shift"] == quarters
+            assert entries["bitwise_add4"] == quarters
+            assert entries["nibble_compact"] == 4 * quarters
         calls.clear()
+        entries.clear()
         eng.abs_magnetization()
         eng.energy_per_spin()
-        assert not calls
+        assert not calls and not (entries.keys() & {"shift", "bitwise_add4", "nibble_compact"})
 
 
 class TestAcceptanceMasks:

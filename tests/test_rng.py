@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.special import erfc, gammaincc
 
-from multispin import bitkernels, rng
+import multispin.engine as engine_mod
+from multispin import rng
 from multispin.engine import Engine
 from multispin.lattice import LatticeDims
 from multispin.rng import (
@@ -277,8 +278,8 @@ class TestStreamSet:
         assert rng._KERNEL_C.count("<< 15 |") == 1
         monkeypatch.setattr(rng, "_KERNEL_C", broken)
         checks = []
-        matches = bitkernels._compiled_matches
-        monkeypatch.setattr(bitkernels, "_compiled_matches",
+        matches = engine_mod._compiled_matches
+        monkeypatch.setattr(engine_mod, "_compiled_matches",
                             lambda k: checks.append(matches(k)) or checks[-1])
         assert self._fresh_build_draws(monkeypatch) == "numpy"
         assert checks == [False]
