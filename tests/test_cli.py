@@ -615,6 +615,25 @@ class TestSelftestPlantedFaults:
             monkeypatch.setattr(rng, "_call_kernel", one_bit_off)
         assert self.failing_lines(capsys) == {f"draw blocks vs scalar streams ({path}, 40)"}
 
+    def test_wrong_compiled_adder(self, capsys, monkeypatch):
+        # the adder line checks the compiled adder the sweeps call, and the
+        # audits see its words differ from the numpy oracle's
+        if rng.draw_path() != "native":
+            pytest.skip("no compiled kernels on this host")
+        kernel = rng._kernel()
+
+        class LaneEightOff:
+            def __getattr__(self, name):
+                return getattr(kernel, name)
+
+            def bitwise_add4(self, a, b, c, d, out):
+                kernel.bitwise_add4(a, b, c, d, out)
+                out[1] ^= np.uint16(1 << 8)
+
+        monkeypatch.setattr(rng, "_kernel_handle", LaneEightOff())
+        assert self.failing_lines(capsys) == {"half-adder place values (all 16 lane patterns)",
+                                              *self.AUDITS}
+
     def test_coupling_sign_dropped(self, capsys, monkeypatch):
         from multispin import engine as engine_mod
 
