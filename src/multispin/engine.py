@@ -30,11 +30,13 @@ each draw becomes a 16-bit mask whose bit c is ``k < limit[sim, c]``, built
 from two compares because a Metropolis table has at most two limits other
 than 0 and 2**23, and each spin reads bit c of its own draw's mask.  A
 quarter makes one shift, one adder and four nibble compacts through this
-module's names, then one acceptance call -- the masks, the select, the XOR
+module's names, then one ``_accept`` call -- the masks, the select, the XOR
 into the target and the flip count.  Where ``rng`` builds its kernel module
 (``rng.draw_path()``), all of them run its compiled entry points; where it
-cannot, they run the numpy ``bitkernels`` functions and the same mask
-select in numpy.  Both give the same states.
+cannot, they run the numpy ``bitkernels`` functions and the mask select in
+numpy.  Before first use, ``_compiled_matches`` runs every quarter of a
+small random state on both paths and requires the same words, states and
+flip counts, so both give the same states.
 """
 
 from __future__ import annotations
@@ -217,27 +219,82 @@ def nibble_compact(ones, twos, fours, spins, i: int) -> np.ndarray:
     return _compact(_kernel(), ones, twos, fours, spins, i)
 
 
-def _compiled_matches(kernel) -> bool:
-    """Whether ``kernel``'s shift, adder and compacts give the ``bitkernels`` words.
+def _accept(kernel, draws, compacts, levels, masks, first: int, target, scratch) -> int:
+    """One quarter's acceptance on ``kernel``; numpy when it is None.
 
-    A fixed case from splitmix64 words: a (2, 8, 5, 59) state with halos (two
-    simulations; 57 interior words per row leave a vector tail) and the views
-    every quarter makes of it, through both shifts, the adder and the
-    compacts at every offset i.
+    XORs the flips that the (16, sims, cells, words) ``draws`` accept for the
+    codes in ``compacts`` into ``target``, under the levels and masks of
+    simulations [first, first + sims), and returns their count.  ``scratch``
+    is three C-contiguous buffers shaped like the draws: uint16, uint16, bool.
     """
-    state = stream_states(20, 0, 295).view(np.uint16).reshape(2, 8, 5, 59)
-    for target, lateral, vertical, up, right in FLIP_RED + FLIP_BLUE:
-        lat, cols = state[:, lateral.index, :, 1:-1], state[:, vertical.index, 1:-1]
-        sides = (lat[:, 2:] if right else lat[:, :-2], lat[:, 1:-1])
-        spins = state[:, target.index, 1:-1, 1:-1]
-        runs = []
-        for k in (kernel, None):
+    if kernel is not None:
+        return kernel.accept(draws, *compacts, levels, masks, first, target, scratch[0])
+    selected, codes, below = scratch
+    sims = slice(first, first + draws.shape[1])
+    (low, high), (at_low, at_high, certain) = levels[:, sims], masks[:, sims]
+    # Bit c of selected[r] is whether draw r accepts code c; codes is scratch here.
+    np.less(draws, low, out=below)
+    np.multiply(below, at_low, out=selected)
+    np.less(draws, high, out=below)
+    np.multiply(below, at_high, out=codes)
+    selected |= codes
+    selected |= certain
+    # Every lane reads only the opposite color and its own pre-quarter
+    # bit, so the accepted flips of all 16 lanes apply at once.
+    selected >>= _codes(compacts, codes)
+    selected &= 1
+    selected *= _ROW_WEIGHTS
+    flipped = np.bitwise_or.reduce(selected, axis=0)
+    target ^= flipped
+    return int(np.bitwise_count(flipped).sum(dtype=np.int64))
+
+
+def _compiled_matches(kernel) -> bool:
+    """Whether every quarter on ``kernel`` gives the numpy path's words and flips.
+
+    Simulations [1, 4) of a random (4, 8, 5, 59) state with halos (57 words
+    per row leave a vector tail) run all eight quarters in turn on both
+    paths, at levels of 0 and 2**23 among others, random code masks, draws at
+    each level and one either side, and all 16 codes in every compact.  The
+    shift, sums, compacts, whole state after each acceptance and flip count
+    must match.
+    """
+    # random words from splitmix64 outputs: numpy.random would cost ~5 MB of RSS
+    pool = stream_states(18, 0, 4800).view(np.uint16).ravel()
+
+    def take(*shape):
+        nonlocal pool
+        out, pool = pool[: math.prod(shape)].reshape(shape), pool[math.prod(shape):]
+        return out
+
+    sims, cells, words = 3, 3, 57
+    levels = np.array([[0, 1 << 22, 5, 1 << 23], [1 << 23, 1 << 22, 1 << 21, 0]], np.uint32)
+    masks = take(3, sims + 1, 1, 1)
+    # per simulation, each of its two levels and one either side of it
+    choices = np.clip(levels[:, 1:].T[:, :, None].astype(np.int64) + np.arange(-1, 2),
+                      0, _DRAW_SCALE - 1).reshape(sims, 6)
+    picks = take(8, 16, sims, cells, words) % 6
+    draws = choices[np.arange(sims)[:, None, None], picks].astype(np.uint32)
+    start = take(sims + 1, 8, cells + 2, words + 2)
+    runs = []
+    for k in (kernel, None):
+        state, run = start.copy(), []
+        scratch = tuple(np.empty(draws.shape[1:], t) for t in (np.uint16, np.uint16, bool))
+        for (target, lateral, vertical, up, right), block in zip(FLIP_RED + FLIP_BLUE, draws):
+            lat, cols = state[1:, lateral.index, :, 1:-1], state[1:, vertical.index, 1:-1]
+            sides = (lat[:, 2:] if right else lat[:, :-2], lat[:, 1:-1])
+            spins = state[1:, target.index, 1:-1, 1:-1]
             shifted = _shift(k, cols, up)
             sums = _add4(k, *sides, shifted, cols[..., 1:-1])
-            runs.append([shifted, *sums, *(_compact(k, *sums, spins, i) for i in range(4))])
-        if not all(map(np.array_equal, *runs)):
-            return False
-    return True
+            compacts = [_compact(k, *sums, spins, i) for i in range(4)]
+            run += [shifted, *sums, *(compact.copy() for compact in compacts)]
+            for compact in compacts:  # every code in every field of every simulation
+                compact[:, 0, :16] = np.arange(16) * 0x1111
+            flips = _accept(k, block, compacts, levels.reshape(2, -1, 1, 1), masks, 1, spins,
+                            scratch)
+            run += [state.copy(), flips]
+        runs.append(run)
+    return all(map(np.array_equal, *runs))
 
 
 def get_neighbors(lateral: np.ndarray, vertical: np.ndarray, up: bool, right: bool):
@@ -446,6 +503,8 @@ class Engine:
                       sim_offset: int = 0) -> "Engine":
         """Engine starting from explicit +/-1 lattices (one per simulation)."""
         lattices = [np.asarray(l) for l in lattices]
+        if not lattices:
+            raise ValueError("need at least one lattice")
         dims = check_spins(lattices[0])
         eng = cls(dims, temperatures, seed, init="all-up", coupling=coupling,
                   sim_offset=sim_offset)
@@ -476,29 +535,8 @@ class Engine:
         """One quarter-flip of simulations [a, b) on (16, b - a, cells, words) draws."""
         state = self.state[a:b]
         compacts = _quarter_compacts(state, target, lateral, vertical, up, right)
-        interior = state[:, target.index, 1:-1, 1:-1]
-        masks, codes, below = self._scratch[b - a]
-        kernel = _kernel()
-        if kernel is not None:
-            self.flips += kernel.accept(draws, *compacts, self._levels, self._code_masks, a,
-                                        interior, masks)
-            return
-        (low, high), (at_low, at_high, certain) = self._levels[:, a:b], self._code_masks[:, a:b]
-        # Bit c of masks[r] is whether draw r accepts code c; codes is scratch here.
-        np.less(draws, low, out=below)
-        np.multiply(below, at_low, out=masks)
-        np.less(draws, high, out=below)
-        np.multiply(below, at_high, out=codes)
-        masks |= codes
-        masks |= certain
-        # Every lane reads only the opposite color and its own pre-quarter
-        # bit, so the accepted flips of all 16 lanes apply at once.
-        masks >>= _codes(compacts, codes)
-        masks &= 1
-        masks *= _ROW_WEIGHTS
-        flipped = np.bitwise_or.reduce(masks, axis=0)
-        interior ^= flipped
-        self.flips += int(np.bitwise_count(flipped).sum(dtype=np.int64))
+        self.flips += _accept(_kernel(), draws, compacts, self._levels, self._code_masks, a,
+                              state[:, target.index, 1:-1, 1:-1], self._scratch[b - a])
 
     def _flip_phase(self, quarters) -> None:
         cells, words = self.dims.cells, self.dims.words

@@ -15,16 +15,17 @@ numpy arrays (``raw_block``), and as a small C kernel that serves
 one C source, built as a CPython extension module: ``unit_block``, and the
 engine's quarter-flip kernels -- the shift, adder and nibble compact that
 ``engine.get_bit_above``, ``get_bit_below``, ``bitwise_add4`` and
-``nibble_compact`` call, and the acceptance (``accept``).  Each takes numpy
-arrays through the buffer protocol, checks their shapes and layouts in C,
-and runs without the interpreter lock.  The module is compiled with the
-system C compiler and the interpreter's headers on the first kernel call of
-a process, never at import, and checked before its first use: the draws
-against the python-int step, the acceptance against its mask select
-restated in numpy, and the bit kernels against the numpy ``bitkernels``
-functions (``engine._compiled_matches``).  Without a compiler or the
-headers, or when the build or any check fails, all five run on numpy and
-give the same draws and states.  ``draw_path()`` says which path runs.
+``nibble_compact`` call, and the acceptance (``accept``) that
+``engine._accept`` calls.  Each takes numpy arrays through the buffer
+protocol, checks their shapes and layouts in C, and runs without the
+interpreter lock.  The module is compiled with the system C compiler and the
+interpreter's headers on the first kernel call of a process, never at
+import, and checked twice before its first use: the draws against the
+python-int step, and every quarter-flip of a small random state, acceptance
+included, against the engine's numpy path (``engine._compiled_matches``).
+Without a compiler or the headers, or when the build or either check fails,
+all five run on numpy and give the same draws and states.  ``draw_path()``
+says which path runs.
 
 The quality battery implements the frequency (monobit), block-frequency,
 runs, longest-run-of-ones and cumulative-sums tests at significance 0.01,
@@ -189,10 +190,10 @@ def _step_arrays(state: np.ndarray, count: int, out: np.ndarray | None = None,
 # both halves go straight into the draw block.  Rows outer and streams inner,
 # so the compiler vectorizes the inner loop across streams.
 #
-# accept: one quarter-flip's acceptance (engine.Engine._flip_quarter).  Row
-# r = 4i + ii of the draws gates field ii of compact i, bit 4ii + i of the
-# target word; its draw's code mask is ``(k < low) & at_low | (k < high) &
-# at_high | certain`` and the spin flips when bit ``code`` of that mask is set.
+# accept: one quarter-flip's acceptance (engine._accept).  Row r = 4i + ii
+# of the draws gates field ii of compact i, bit 4ii + i of the target word;
+# its draw's code mask is ``(k < low) & at_low | (k < high) & at_high |
+# certain`` and the spin flips when bit ``code`` of that mask is set.
 # Rows are the outer loop, and each row's pass over cells * words sits in a
 # function of its own, so the compiler vectorizes it with per-lane shifts.
 #
@@ -586,66 +587,19 @@ _kernel_handle = _UNBUILT  # the checked kernels' module, None for numpy, or _UN
 _kernel_lock = threading.Lock()
 
 
-def _call_kernel(kernel, state: np.ndarray, lo: int, hi: int, rows: int, out: np.ndarray) -> None:
-    """Step columns [lo, hi) of a C-contiguous (4, n) uint64 state ``rows`` times into
-    ``out``, a C-contiguous uint32 array of at least 2 * rows * (hi - lo) elements."""
-    kernel(state, lo, hi, rows, out)
-
-
 def _kernel_matches(kernel) -> bool:
     """Whether ``kernel.unit_block`` steps streams [1, 38) of 40 as ``_step_ints`` does
     and no others."""
     state = stream_states(1, 0, 40)
     before = state.copy()
     out = np.zeros((6, 37), dtype=np.uint32)
-    _call_kernel(kernel.unit_block, state, 1, 38, 3, out)
+    kernel.unit_block(state, 1, 38, 3, out)
     for j in range(1, 38):
         s = before[:, j].tolist()
         halves = [h & _MANTISSA for x in _step_ints(s, 3) for h in (x >> 32, x)]
         if out[:, j - 1].tolist() != halves or state[:, j].tolist() != s:
             return False
     return (state[:, [0, 38, 39]] == before[:, [0, 38, 39]]).all()
-
-
-def _accept_matches(kernel) -> bool:
-    """Whether ``kernel.accept`` flips what the mask select restated in numpy flips.
-
-    A fixed random case: simulations [1, 4) of a (4, 2, 5, 21) state, with
-    different levels each (0 and 2**23 among them), every code in every
-    field of every simulation, and draws at each level and one either side
-    of it.  Only the interior of array 1 of those three simulations may
-    change.
-    """
-    # random words from splitmix64 outputs: numpy.random would cost ~5 MB of RSS
-    pool = stream_states(18, 0, 1024).view(np.uint16).ravel()
-
-    def take(*shape):
-        nonlocal pool
-        out, pool = pool[: np.prod(shape)].reshape(shape), pool[np.prod(shape):]
-        return out
-
-    sims, cells, words = 3, 3, 19  # 57 words per row leave a vector tail
-    levels = np.array([[0, 1 << 22, 5, 1 << 23], [1 << 23, 1 << 22, 1 << 21, 0]], np.uint32)
-    masks = take(3, 4)
-    # per simulation, each of its two levels and one either side of it
-    choices = np.clip(levels[:, 1:].T[:, :, None].astype(np.int64) + np.arange(-1, 2),
-                      0, _MANTISSA).reshape(sims, 6)
-    picks = take(16, sims, cells, words) % 6
-    draws = choices[np.arange(sims)[:, None, None], picks].astype(np.uint32)
-    compacts = [take(sims, cells, words) for _ in range(4)]
-    for compact in compacts:  # every code in every field of every simulation
-        compact.reshape(sims, -1)[:, :16] = np.arange(16) * 0x1111
-    state = take(sims + 1, 2, cells + 2, words + 2)
-    want = state.copy()
-    (lo, hi), (at_lo, at_hi, certain) = levels[:, 1:, None, None], masks[:, 1:, None, None]
-    for r in range(16):
-        code = (compacts[r // 4] >> 4 * (r % 4)) & 0xF
-        mask = (draws[r] < lo) * at_lo | (draws[r] < hi) * at_hi | certain
-        want[1:, 1, 1:-1, 1:-1] ^= ((mask >> code) & 1) << (4 * (r % 4) + r // 4)
-    flips = int(np.bitwise_count(want ^ state).sum())
-    count = kernel.accept(draws, *compacts, levels[:, :, None, None], masks[:, :, None, None], 1,
-                          state[1:, 1, 1:-1, 1:-1], np.empty(cells * words, np.uint16))
-    return count == flips and (state == want).all()
 
 
 def _build_kernel():
@@ -669,7 +623,7 @@ def _build_kernel():
             loader.exec_module(kernel)
         except (OSError, ImportError, subprocess.SubprocessError):
             return None
-    checks = (_kernel_matches, _accept_matches, _compiled_matches)
+    checks = (_kernel_matches, _compiled_matches)
     return kernel if all(check(kernel) for check in checks) else None
 
 
@@ -794,7 +748,7 @@ class XoshiroStreams:
             self._k = np.empty(2 * size, dtype=np.uint32)
         kernel = _kernel()
         if kernel is not None:
-            _call_kernel(kernel.unit_block, self._state, lo, hi, rows, self._k)
+            kernel.unit_block(self._state, lo, hi, rows, self._k)
             return self._k[: 2 * size].reshape(2 * rows, width)[:count]
         if self._raw.size < size:
             self._raw = np.empty(size, dtype=np.uint64)

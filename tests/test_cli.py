@@ -606,13 +606,17 @@ class TestSelftestPlantedFaults:
         elif rng.draw_path() != "native":
             pytest.skip("no compiled draw kernel on this host")
         else:
-            call_kernel = rng._call_kernel
+            kernel = rng._kernel()
 
-            def one_bit_off(kernel, state, lo, hi, rows, out):
-                call_kernel(kernel, state, lo, hi, rows, out)
-                out[: 2 * rows * (hi - lo)] ^= np.uint32(1 << 22)
+            class OneBitOff:
+                def __getattr__(self, name):
+                    return getattr(kernel, name)
 
-            monkeypatch.setattr(rng, "_call_kernel", one_bit_off)
+                def unit_block(self, state, lo, hi, rows, out):
+                    kernel.unit_block(state, lo, hi, rows, out)
+                    out[: 2 * rows * (hi - lo)] ^= np.uint32(1 << 22)
+
+            monkeypatch.setattr(rng, "_kernel_handle", OneBitOff())
         assert self.failing_lines(capsys) == {f"draw blocks vs scalar streams ({path}, 40)"}
 
     def test_wrong_compiled_adder(self, capsys, monkeypatch):

@@ -211,12 +211,12 @@ class _CountingKernel:
 
 class TestKernelCalls:
     def test_flips_make_one_shift_one_add4_four_compacts_per_quarter(self, monkeypatch):
-        """Each quarter of each tile makes one shift, one add4 and four compacts;
-        measuring makes none.
+        """Each quarter of each tile makes one shift, one add4, four compacts and
+        one acceptance; measuring makes none.
 
         On the native path every one of those calls reaches its compiled entry
-        point.  perfbench/test_smoke.py pins the same calls through its tracer,
-        on a one-tile shape.
+        point.  perfbench/test_smoke.py pins the same shift, add4 and compact
+        calls through its tracer, on a one-tile shape.
         """
         monkeypatch.setattr(engine_mod, "_TILE_STREAMS", DIMS.cells * DIMS.words)
         calls = collections.Counter()
@@ -241,11 +241,13 @@ class TestKernelCalls:
             assert entries["shift"] == quarters
             assert entries["bitwise_add4"] == quarters
             assert entries["nibble_compact"] == 4 * quarters
+            assert entries["accept"] == quarters
         calls.clear()
         entries.clear()
         eng.abs_magnetization()
         eng.energy_per_spin()
-        assert not calls and not (entries.keys() & {"shift", "bitwise_add4", "nibble_compact"})
+        assert not calls
+        assert not entries.keys() & {"shift", "bitwise_add4", "nibble_compact", "accept"}
 
 
 class TestAcceptanceMasks:
@@ -546,6 +548,10 @@ class TestSweepAndRun:
     def test_bad_init_rejected(self):
         with pytest.raises(ValueError):
             Engine(DIMS, [2.0], seed=1, init="sideways")
+
+    def test_from_no_lattices_rejected(self):
+        with pytest.raises(ValueError, match="need at least one lattice"):
+            Engine.from_lattices([], [], seed=1)
 
     def test_independent_sims_match_singletons(self):
         # Simulations in one engine equal the same sims run alone at the

@@ -228,31 +228,6 @@ class TestStreamSet:
         assert self._fresh_build_draws(monkeypatch) == "numpy"
         assert checks == [False]  # it was built and loaded, and the check turned it down
 
-    def test_accept_kernel_failing_its_check_is_not_used(self, monkeypatch):
-        if shutil.which("cc") is None:
-            pytest.skip("no C compiler")
-        dims = LatticeDims(12, 96)
-
-        def sweep_states():
-            eng = Engine(dims, [1e-6, 2.3, 1e6], seed=5, coupling=-0.7)
-            for _ in range(3):
-                eng.sweep()
-            return eng.state, eng.flips
-
-        want_state, want_flips = sweep_states()
-        # a draw equal to the low level accepts: it compiles, loads and steps
-        # the draws right, but flips spins the limits reject
-        broken = rng._KERNEL_C.replace("x < lo", "x <= lo")
-        assert broken != rng._KERNEL_C
-        monkeypatch.setattr(rng, "_KERNEL_C", broken)
-        checks = []
-        matches = rng._accept_matches
-        monkeypatch.setattr(rng, "_accept_matches", lambda k: checks.append(matches(k)) or checks[-1])
-        assert self._fresh_build_draws(monkeypatch) == "numpy"
-        assert checks == [False]
-        state, flips = sweep_states()
-        assert (state == want_state).all() and flips == want_flips
-
     def test_missing_python_headers_fall_back_to_same_draws(self, monkeypatch, tmp_path):
         if shutil.which("cc") is None:
             pytest.skip("no C compiler")
@@ -260,7 +235,19 @@ class TestStreamSet:
         monkeypatch.setattr(sysconfig, "get_path", lambda name, *args, **kwargs: str(tmp_path))
         assert self._fresh_build_draws(monkeypatch) == "numpy"
 
-    def test_bit_kernel_failing_its_check_is_not_used(self, monkeypatch):
+    @pytest.mark.parametrize("before, after", [
+        # a draw equal to the low level accepts
+        ("x < lo", "x <= lo"),
+        # bit 15 of the upward shift lands on bit 14
+        ("<< 15 |", "<< 14 |"),
+        # the flips go one word off, the last into the halo
+        ("t[w] ^= f[w];", "t[w + 1] ^= f[w];"),
+        # one flip too many is counted
+        ("__builtin_popcount(f[w]);", "__builtin_popcount(f[w]) + (s + c + w == 0);"),
+    ], ids=["accept-level", "shift-bit", "target-word", "flip-count"])
+    def test_quarter_kernel_failing_its_check_is_not_used(self, monkeypatch, before, after):
+        # each mutant compiles, loads and steps the draws right, so only the
+        # quarter check can turn it down; the sweeps then run numpy
         if shutil.which("cc") is None:
             pytest.skip("no C compiler")
         dims = LatticeDims(12, 96)
@@ -272,17 +259,14 @@ class TestStreamSet:
             return eng.state, eng.flips
 
         want_state, want_flips = sweep_states()
-        # bit 15 of the upward shift lands on bit 14: it compiles, loads, and
-        # the draws and the acceptance pass their checks
-        broken = rng._KERNEL_C.replace("<< 15 |", "<< 14 |")
-        assert rng._KERNEL_C.count("<< 15 |") == 1
-        monkeypatch.setattr(rng, "_KERNEL_C", broken)
+        assert rng._KERNEL_C.count(before) == 1
+        monkeypatch.setattr(rng, "_KERNEL_C", rng._KERNEL_C.replace(before, after))
         checks = []
         matches = engine_mod._compiled_matches
         monkeypatch.setattr(engine_mod, "_compiled_matches",
                             lambda k: checks.append(matches(k)) or checks[-1])
         assert self._fresh_build_draws(monkeypatch) == "numpy"
-        assert checks == [False]
+        assert checks == [False]  # it was built and loaded, and the check turned it down
         state, flips = sweep_states()
         assert (state == want_state).all() and flips == want_flips
 
