@@ -260,7 +260,7 @@ def _compiled_matches(kernel) -> bool:
     must match.
     """
     # random words from splitmix64 outputs: numpy.random would cost ~5 MB of RSS
-    pool = stream_states(18, 0, 4800).view(np.uint16).ravel()
+    pool = stream_states(18, 0, 1200).view(np.uint16).ravel()
 
     def take(*shape):
         nonlocal pool
@@ -273,14 +273,16 @@ def _compiled_matches(kernel) -> bool:
     # per simulation, each of its two levels and one either side of it
     choices = np.clip(levels[:, 1:].T[:, :, None].astype(np.int64) + np.arange(-1, 2),
                       0, _DRAW_SCALE - 1).reshape(sims, 6)
-    picks = take(8, 16, sims, cells, words) % 6
+    # one draw block serves all eight quarters, which keeps this check small:
+    # every process that builds the kernels runs it
+    picks = take(16, sims, cells, words) % 6
     draws = choices[np.arange(sims)[:, None, None], picks].astype(np.uint32)
     start = take(sims + 1, 8, cells + 2, words + 2)
     runs = []
     for k in (kernel, None):
         state, run = start.copy(), []
-        scratch = tuple(np.empty(draws.shape[1:], t) for t in (np.uint16, np.uint16, bool))
-        for (target, lateral, vertical, up, right), block in zip(FLIP_RED + FLIP_BLUE, draws):
+        scratch = tuple(np.empty(draws.shape, t) for t in (np.uint16, np.uint16, bool))
+        for target, lateral, vertical, up, right in FLIP_RED + FLIP_BLUE:
             lat, cols = state[1:, lateral.index, :, 1:-1], state[1:, vertical.index, 1:-1]
             sides = (lat[:, 2:] if right else lat[:, :-2], lat[:, 1:-1])
             spins = state[1:, target.index, 1:-1, 1:-1]
@@ -290,7 +292,7 @@ def _compiled_matches(kernel) -> bool:
             run += [shifted, *sums, *(compact.copy() for compact in compacts)]
             for compact in compacts:  # every code in every field of every simulation
                 compact[:, 0, :16] = np.arange(16) * 0x1111
-            flips = _accept(k, block, compacts, levels.reshape(2, -1, 1, 1), masks, 1, spins,
+            flips = _accept(k, draws, compacts, levels.reshape(2, -1, 1, 1), masks, 1, spins,
                             scratch)
             run += [state.copy(), flips]
         runs.append(run)
