@@ -266,15 +266,28 @@ accept(long sims, long cells, long words, const uint32_t *k,
     return count;
 }
 
+/* Words of 32 and 8 lanes at any even address.  ROW_LOOP runs its body over
+   words [0, n) of a row with W bound to each width in turn, widest first,
+   and to uint16_t for the tail, the body's loads and stores at word j going
+   through AT; so an 8-word row is one 8-lane pass and a 57-word row is one
+   32-lane pass, three 8-lane passes and one word. */
+typedef uint16_t lanes32 __attribute__((vector_size(64), aligned(2), may_alias));
+typedef uint16_t lanes8 __attribute__((vector_size(16), aligned(2), may_alias));
+#define AT(p, k) (*(W *)&(p)[j + (k)])
+#define ROW_LOOP(n, ...) do {                                                 \
+        Py_ssize_t j = 0;                                                     \
+        for (; j + 32 <= (n); j += 32) { typedef lanes32 W; __VA_ARGS__ }     \
+        for (; j + 8 <= (n); j += 8) { typedef lanes8 W; __VA_ARGS__ }        \
+        for (; j < (n); j++) { typedef uint16_t W; __VA_ARGS__ }              \
+    } while (0)
+
 static void
 shift_row(Py_ssize_t n, const uint16_t *v, int up, uint16_t *restrict out)
 {
     if (up)
-        for (Py_ssize_t j = 0; j < n; j++)
-            out[j] = (uint16_t)(v[j + 2] << 15 | v[j + 1] >> 1);
+        ROW_LOOP(n, AT(out, 0) = (W)(AT(v, 2) << 15 | AT(v, 1) >> 1););
     else
-        for (Py_ssize_t j = 0; j < n; j++)
-            out[j] = (uint16_t)(v[j] >> 15 | v[j + 1] << 1);
+        ROW_LOOP(n, AT(out, 0) = (W)(AT(v, 0) >> 15 | AT(v, 1) << 1););
 }
 
 static void
@@ -282,22 +295,66 @@ add4_row(Py_ssize_t n, const uint16_t *a, const uint16_t *b, const uint16_t *c,
          const uint16_t *d, uint16_t *restrict ones, uint16_t *restrict twos,
          uint16_t *restrict fours)
 {
-    for (Py_ssize_t j = 0; j < n; j++) {
-        uint16_t s1 = a[j] ^ b[j], c1 = a[j] & b[j], s2 = c[j] ^ d[j], c2 = c[j] & d[j];
-        ones[j] = s1 ^ s2;
-        twos[j] = c1 ^ c2 ^ (s1 & s2);
-        fours[j] = c1 & c2;
-    }
+    ROW_LOOP(n,
+        W s1 = AT(a, 0) ^ AT(b, 0), c1 = AT(a, 0) & AT(b, 0);
+        W s2 = AT(c, 0) ^ AT(d, 0), c2 = AT(c, 0) & AT(d, 0);
+        AT(ones, 0) = s1 ^ s2;
+        AT(twos, 0) = c1 ^ c2 ^ (s1 & s2);
+        AT(fours, 0) = c1 & c2;
+    );
 }
 
 static void
 compact_row(Py_ssize_t n, const uint16_t *ones, const uint16_t *twos, const uint16_t *fours,
             const uint16_t *spins, int i, uint16_t *restrict out)
 {
-    const uint32_t m = 0x1111u << i;
-    for (Py_ssize_t j = 0; j < n; j++)
-        out[j] = (uint16_t)((ones[j] & m) >> i | (twos[j] & m) >> i << 1
-                            | (fours[j] & m) >> i << 2 | (spins[j] & m) >> i << 3);
+    const uint16_t m = (uint16_t)(0x1111u << i);
+    ROW_LOOP(n, AT(out, 0) = (W)((AT(ones, 0) & m) >> i | (AT(twos, 0) & m) >> i << 1
+                                 | (AT(fours, 0) & m) >> i << 2 | (AT(spins, 0) & m) >> i << 3););
+}
+
+/* The rows of up to four same-shaped buffers, every index of all axes but
+   the last in C order.  Each step adds the strides of the last leading axis
+   and carries into the axes before it as an odometer does, so no row costs
+   a division. */
+typedef struct {
+    int lead, n;
+    const Py_ssize_t *shape, *strides[4];
+    const char *row[4];
+    Py_ssize_t index[PyBUF_MAX_NDIM];
+} Rows;
+
+static Rows
+rows_start(Py_buffer *const *v, int n)
+{
+    Rows r = {.lead = v[0]->ndim ? v[0]->ndim - 1 : 0, .n = n, .shape = v[0]->shape};
+    for (int k = 0; k < n; k++) {
+        r.strides[k] = v[k]->strides;
+        r.row[k] = v[k]->buf;
+    }
+    return r;
+}
+
+static const uint16_t *
+row(const Rows *r, int k)
+{
+    return (const uint16_t *)r->row[k];
+}
+
+/* The next row: one index forward on the last leading axis, and where that
+   passes its end, back to index 0 and on to the axis before. */
+static void
+rows_next(Rows *r)
+{
+    for (int ax = r->lead - 1; ax >= 0; ax--) {
+        int carry = ++r->index[ax] == r->shape[ax];
+        Py_ssize_t steps = carry ? 1 - r->shape[ax] : 1;
+        for (int k = 0; k < r->n; k++)
+            r->row[k] += steps * r->strides[k][ax];
+        if (!carry)
+            return;
+        r->index[ax] = 0;
+    }
 }
 
 /* The buffers one call holds; no entry point takes more than ten. */
@@ -395,17 +452,6 @@ unit_rows(const Py_buffer *v)
     return !v->ndim || v->shape[v->ndim - 1] < 2 || v->strides[v->ndim - 1] == v->itemsize;
 }
 
-static const uint16_t *
-row_of(const Py_buffer *v, Py_ssize_t r)
-{
-    const char *p = v->buf;
-    for (int ax = v->ndim - 2; ax >= 0; ax--) {
-        p += r % v->shape[ax] * v->strides[ax];
-        r /= v->shape[ax];
-    }
-    return (const uint16_t *)p;
-}
-
 /* unit_block(state, lo, hi, rows, out): step columns [lo, hi) of a
    C-contiguous (4, n) uint64 state rows times into a C-contiguous uint32
    out of at least 2 * rows * (hi - lo) words. */
@@ -491,10 +537,11 @@ py_shift(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         || !c_contiguous(out, v->ndim, shape))
         return invalid(&held, "shift");
     Py_ssize_t rows = rows_of(v), n = shape[v->ndim - 1];
+    Rows r = rows_start(&v, 1);
     uint16_t *o = out->buf;
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t r = 0; r < rows; r++, o += n)
-        shift_row(n, row_of(v, r), up, o);
+    for (Py_ssize_t k = 0; k < rows; k++, o += n, rows_next(&r))
+        shift_row(n, row(&r, 0), up, o);
     Py_END_ALLOW_THREADS
     return release(&held, Py_NewRef(Py_None));
 }
@@ -522,11 +569,12 @@ py_bitwise_add4(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (!ok || !c_contiguous(out, nd + 1, shape))
         return invalid(&held, "bitwise_add4");
     Py_ssize_t rows = rows_of(x[0]), n = width_of(x[0]), size = out->len / 2 / 3;
+    Rows r = rows_start(x, 4);
     uint16_t *ones = out->buf;
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t r = 0; r < rows; r++, ones += n)
-        add4_row(n, row_of(x[0], r), row_of(x[1], r), row_of(x[2], r), row_of(x[3], r),
-                 ones, ones + size, ones + 2 * size);
+    for (Py_ssize_t k = 0; k < rows; k++, ones += n, rows_next(&r))
+        add4_row(n, row(&r, 0), row(&r, 1), row(&r, 2), row(&r, 3), ones, ones + size,
+                 ones + 2 * size);
     Py_END_ALLOW_THREADS
     return release(&held, Py_NewRef(Py_None));
 }
@@ -553,11 +601,11 @@ py_nibble_compact(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (!ok)
         return invalid(&held, "nibble_compact");
     Py_ssize_t rows = rows_of(x[0]), n = width_of(x[0]);
+    Rows r = rows_start(x, 4);
     uint16_t *o = out->buf;
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t r = 0; r < rows; r++, o += n)
-        compact_row(n, row_of(x[0], r), row_of(x[1], r), row_of(x[2], r), row_of(x[3], r),
-                    (int)i, o);
+    for (Py_ssize_t k = 0; k < rows; k++, o += n, rows_next(&r))
+        compact_row(n, row(&r, 0), row(&r, 1), row(&r, 2), row(&r, 3), (int)i, o);
     Py_END_ALLOW_THREADS
     return release(&held, Py_NewRef(Py_None));
 }
@@ -718,6 +766,8 @@ class XoshiroStreams:
         self.master_seed = check_seed(master_seed)
         self.n_streams = int(n_streams)
         self.first_stream = int(first_stream)
+        if self.first_stream < 0:
+            raise ValueError(f"first_stream must be at least 0, got {self.first_stream}")
         # (4, n_streams), C-contiguous: the kernel steps it through raw pointers
         self._state = stream_states(self.master_seed, self.first_stream, self.n_streams)
         # numpy-step temporary; only the widest range stepped touches its pages

@@ -203,7 +203,8 @@ def _assert_same(native, numpy_words):
 
 class TestCompiledAgreesWithNumpy:
     @pytest.mark.parametrize("dims, n_sim", [(LatticeDims(4, 32), 2), (LatticeDims(12, 96), 2),
-                                             (LatticeDims(128, 128), 3), (LatticeDims(12, 96), None)],
+                                             (LatticeDims(128, 128), 3), (LatticeDims(256, 256), 2),
+                                             (LatticeDims(12, 96), None)],
                              ids=str)
     def test_every_quarter_of_a_random_state(self, monkeypatch, dims, n_sim):
         # the strided views get_neighbors makes, halos included; n_sim None is
@@ -241,6 +242,31 @@ class TestCompiledAgreesWithNumpy:
                         *(engine_mod.nibble_compact(*sums, planes[4], i) for i in range(4))]
             sums = engine_mod.bitwise_add4(*words[:4])
             return out + [*sums, *(engine_mod.nibble_compact(*sums, words[4], i) for i in range(4))]
+
+        _assert_same(*_on_both_paths(monkeypatch, results))
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 31, 32, 33, 40])
+    def test_row_widths_on_reversed_and_stepped_views(self, monkeypatch, width):
+        # every split of a row into 32-, 8- and 1-word passes, on rows the
+        # compiled loops reach by stepping leading axes backwards and two
+        # at a time, so that every carry between them is compared too; the
+        # last view has no rows
+        gen = np.random.default_rng(width)
+        base3 = gen.integers(0, 1 << 16, (3, 5, width + 4), dtype=np.uint16)
+        base4 = gen.integers(0, 1 << 16, (3, 4, 3, width + 4), dtype=np.uint16)
+        views = [base3[::-1, ::2, 1:-1], base4[::-1, ::2, ::-1, 1:-1], base4[:, :0, ..., 1:-1]]
+
+        def results():
+            out = []
+            for v in views:
+                planes = [v[..., :-2], v[..., 1:-1], v[..., 2:]]
+                shifted = [engine_mod.get_bit_above(v), engine_mod.get_bit_below(v)]
+                sums = engine_mod.bitwise_add4(*planes, shifted[0])
+                strided = engine_mod.bitwise_add4(*planes, planes[0])
+                out += [*shifted, *sums, *strided,
+                        *(engine_mod.nibble_compact(*sums, planes[1], i) for i in range(4)),
+                        *(engine_mod.nibble_compact(*planes, planes[1], i) for i in range(4))]
+            return out
 
         _assert_same(*_on_both_paths(monkeypatch, results))
 

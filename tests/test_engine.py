@@ -688,6 +688,11 @@ class TestSeedRange:
         with pytest.raises(ValueError, match="seed must be in"):
             Xoshiro256pp(seed)
 
+    def test_negative_sim_offset_rejected(self):
+        # the offset reaches the streams as first_stream = sim_offset * cells * words
+        with pytest.raises(ValueError, match="first_stream must be at least 0, got -9"):
+            Engine(DIMS, [2.0], seed=1, sim_offset=-1)
+
     @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
     def test_edges_run(self, seed):
         eng = Engine(DIMS, [2.0], seed=seed)

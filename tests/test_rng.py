@@ -142,6 +142,10 @@ class TestStreamSet:
             gen = Xoshiro256pp(2024, stream=j)
             assert block[:, j].tolist() == [gen.next_raw64() for _ in range(6)]
 
+    def test_negative_first_stream_rejected(self):
+        with pytest.raises(ValueError, match="first_stream must be at least 0, got -1"):
+            XoshiroStreams(1, 8, first_stream=-1)
+
     @pytest.mark.parametrize("master_seed", [0, (1 << 64) - 1])
     @pytest.mark.parametrize("first_stream", [0, 1 << 48])
     def test_stream_states_match_stream_state(self, master_seed, first_stream):
@@ -244,7 +248,10 @@ class TestStreamSet:
         ("t[w] ^= f[w];", "t[w + 1] ^= f[w];"),
         # one flip too many is counted
         ("__builtin_popcount(f[w]);", "__builtin_popcount(f[w]) + (s + c + w == 0);"),
-    ], ids=["accept-level", "shift-bit", "target-word", "flip-count"])
+        # the twos plane carries on either pair's bit rather than both, in
+        # the one adder body every row width runs
+        ("(s1 & s2)", "(s1 | s2)"),
+    ], ids=["accept-level", "shift-bit", "target-word", "flip-count", "adder-twos"])
     def test_quarter_kernel_failing_its_check_is_not_used(self, monkeypatch, before, after):
         # each mutant compiles, loads and steps the draws right, so only the
         # quarter check can turn it down; the sweeps then run numpy
