@@ -252,10 +252,13 @@ def _accept(kernel, draws, compacts, levels, masks, first: int, target, scratch)
 def _compiled_matches(kernel) -> bool:
     """Whether every quarter on ``kernel`` gives the numpy path's words and flips.
 
-    Simulations [1, 4) of a random (4, 8, 5, 59) state with halos (57 words
-    per row leave a vector tail) run all eight quarters in turn on both
-    paths, at levels of 0 and 2**23 among others, random code masks, draws at
-    each level and one either side, and all 16 codes in every compact.  The
+    Simulations [1, 4) of a random (4, 8, 5, 59) state with halos run all
+    eight quarters in turn on both paths.  Rows of 57 words reach every pass
+    of the compiled shift, adder and compacts: one of 32 lanes, three of 8
+    and one single word; their 3 x 3 rows per view carry from cell to
+    simulation as the compiled loops step through them.  The quarters run at
+    levels of 0 and 2**23 among others, random code masks, draws at each
+    level and one either side, and all 16 codes in every compact.  The
     shift, sums, compacts, whole state after each acceptance and flip count
     must match.
     """

@@ -200,9 +200,21 @@ def _step_arrays(state: np.ndarray, count: int, out: np.ndarray | None = None,
 # shift, bitwise_add4, nibble_compact: the bitkernels functions' word
 # arithmetic over inputs of any shape, one row (the last axis) at a time.
 # Rows may lie anywhere, but each row's words must be aligned and contiguous,
-# as in the engine's packed state, so every loop runs at unit stride and the
-# compiler vectorizes it; any other layout raises ValueError.  Outputs are
-# C-contiguous arrays the caller (the engine's quarter) allocates.
+# as in the engine's packed state; any other layout raises ValueError.
+# Outputs are C-contiguous arrays the caller (the engine's quarter)
+# allocates.  The engine's rows are short (8 words at 256x256), so per-row
+# costs decide the time: finding each row by two divisions per leading axis
+# and input, and a loop vectorized 32 lanes wide that ran 8-word rows in its
+# scalar remainder, made a compact of 512 such rows take 16.9 us against
+# 1.6 us for the same 4096 words in one row.  So rows step by strides
+# (Rows), and each kernel's arithmetic is written once and run at 32 and 8
+# lanes and then word by word (ROW_LOOP).  Per call, before -> after, on the
+# engine's views (2-vCPU Xeon with AVX-512, gcc 12.2):
+#
+#   lattice x sims (rows x words)   compact          adder            shift
+#   256^2 x 8  (512 x 8)            16.9 -> 4.5 us   15.5 -> 4.1 us   4.2 -> 1.7 us
+#   1024^2 x 1 (256 x 32)            8.2 -> 3.2 us    7.9 -> 3.5 us   2.1 -> 0.8 us
+#   512^2 x 94 (12032 x 16)          347 -> 102 us    333 -> 96 us     85 -> 40 us
 _KERNEL_C = r"""
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -266,17 +278,17 @@ accept(long sims, long cells, long words, const uint32_t *k,
     return count;
 }
 
-/* Words of 32 and 8 lanes at any even address.  ROW_LOOP runs its body over
-   words [0, n) of a row with W bound to each width in turn, widest first,
-   and to uint16_t for the tail, the body's loads and stores at word j going
-   through AT; so an 8-word row is one 8-lane pass and a 57-word row is one
-   32-lane pass, three 8-lane passes and one word. */
-typedef uint16_t lanes32 __attribute__((vector_size(64), aligned(2), may_alias));
+/* Eight words at any even address.  ROW_LOOP runs its body over words
+   [0, n) of a row with W bound to lanes8, eight words at a time, and then
+   to uint16_t for the last n % 8, the body's loads and stores at word j
+   going through AT; so an 8-word row is one vector pass.  A 32-lane pass
+   before it took a 1024x1024 compact (32-word rows) from 4.6 to 3.6 us but
+   added 8 % to the module's compile time, a 16-lane one 5 %, and neither
+   sped up 8-word rows. */
 typedef uint16_t lanes8 __attribute__((vector_size(16), aligned(2), may_alias));
 #define AT(p, k) (*(W *)&(p)[j + (k)])
 #define ROW_LOOP(n, ...) do {                                                 \
         Py_ssize_t j = 0;                                                     \
-        for (; j + 32 <= (n); j += 32) { typedef lanes32 W; __VA_ARGS__ }     \
         for (; j + 8 <= (n); j += 8) { typedef lanes8 W; __VA_ARGS__ }        \
         for (; j < (n); j++) { typedef uint16_t W; __VA_ARGS__ }              \
     } while (0)
