@@ -281,16 +281,18 @@ accept(long sims, long cells, long words, const uint32_t *k,
 /* Eight words at any even address.  ROW_LOOP runs its body over words
    [0, n) of a row with W bound to lanes8, eight words at a time, and then
    to uint16_t for the last n % 8, the body's loads and stores at word j
-   going through AT; so an 8-word row is one vector pass.  A 32-lane pass
-   before it took a 1024x1024 compact (32-word rows) from 4.6 to 3.6 us but
-   added 8 % to the module's compile time, a 16-lane one 5 %, and neither
-   sped up 8-word rows. */
+   going through AT; so an 8-word row is one vector pass.  The tail loop
+   counts at most 7 words, which the compiler leaves scalar; vectorized,
+   it added 4 % to the module's compile time.  A 32-lane pass before the
+   8-lane one took a 1024x1024 compact (32-word rows) from 4.6 to 3.6 us
+   but added 8 % to the compile time, a 16-lane one 4 %, and neither sped
+   up 8-word rows. */
 typedef uint16_t lanes8 __attribute__((vector_size(16), aligned(2), may_alias));
 #define AT(p, k) (*(W *)&(p)[j + (k)])
 #define ROW_LOOP(n, ...) do {                                                 \
         Py_ssize_t j = 0;                                                     \
         for (; j + 8 <= (n); j += 8) { typedef lanes8 W; __VA_ARGS__ }        \
-        for (; j < (n); j++) { typedef uint16_t W; __VA_ARGS__ }              \
+        for (int tail = (n) & 7; tail; tail--, j++) { typedef uint16_t W; __VA_ARGS__ } \
     } while (0)
 
 static void
