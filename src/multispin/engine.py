@@ -253,9 +253,9 @@ def _compiled_matches(kernel) -> bool:
     """Whether every quarter on ``kernel`` gives the numpy path's words and flips.
 
     Simulations [1, 4) of a random (4, 8, 5, 59) state with halos run all
-    eight quarters in turn on both paths.  Rows of 57 words reach every pass
-    of the compiled shift, adder and compacts: one of 32 lanes, three of 8
-    and one single word; their 3 x 3 rows per view carry from cell to
+    eight quarters in turn on both paths.  Rows of 57 words reach both
+    passes of the compiled shift, adder and compacts, seven of 8 lanes and a
+    tail of one word, and the 3 x 3 rows of each view carry from cell to
     simulation as the compiled loops step through them.  The quarters run at
     levels of 0 and 2**23 among others, random code masks, draws at each
     level and one either side, and all 16 codes in every compact.  The

@@ -205,16 +205,18 @@ def _step_arrays(state: np.ndarray, count: int, out: np.ndarray | None = None,
 # allocates.  The engine's rows are short (8 words at 256x256), so per-row
 # costs decide the time: finding each row by two divisions per leading axis
 # and input, and a loop vectorized 32 lanes wide that ran 8-word rows in its
-# scalar remainder, made a compact of 512 such rows take 16.9 us against
+# scalar remainder, made a compact of 512 such rows take about 17 us against
 # 1.6 us for the same 4096 words in one row.  So rows step by strides
-# (Rows), and each kernel's arithmetic is written once and run at 32 and 8
-# lanes and then word by word (ROW_LOOP).  Per call, before -> after, on the
-# engine's views (2-vCPU Xeon with AVX-512, gcc 12.2):
+# (Rows), and each kernel's arithmetic is written once and run eight words
+# at a time and then word by word (ROW_LOOP).  Per call, before -> after, on
+# the engine's views (best of 28 interleaved repeats, 2-vCPU Xeon with
+# AVX-512, gcc 12.2):
 #
 #   lattice x sims (rows x words)   compact          adder            shift
-#   256^2 x 8  (512 x 8)            16.9 -> 4.5 us   15.5 -> 4.1 us   4.2 -> 1.7 us
-#   1024^2 x 1 (256 x 32)            8.2 -> 3.2 us    7.9 -> 3.5 us   2.1 -> 0.8 us
-#   512^2 x 94 (12032 x 16)          347 -> 102 us    333 -> 96 us     85 -> 40 us
+#   256^2 x 8  (512 x 8)            17.2 -> 4.4 us   15.3 -> 4.2 us   4.4 -> 1.3 us
+#   1024^2 x 1 (256 x 32)            8.3 -> 5.0 us    7.8 -> 4.5 us   2.0 -> 1.3 us
+#   512^2 x 94 (12032 x 16)          337 -> 107 us    336 -> 117 us    84 -> 34 us
+#   12x96 x 2  (6 x 3)               1.5 -> 1.5 us   0.95 -> 0.90 us  0.29 -> 0.32 us
 _KERNEL_C = r"""
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -289,9 +291,9 @@ accept(long sims, long cells, long words, const uint32_t *k,
    up 8-word rows. */
 typedef uint16_t lanes8 __attribute__((vector_size(16), aligned(2), may_alias));
 #define AT(p, k) (*(W *)&(p)[j + (k)])
-#define ROW_LOOP(n, ...) do {                                                 \
-        Py_ssize_t j = 0;                                                     \
-        for (; j + 8 <= (n); j += 8) { typedef lanes8 W; __VA_ARGS__ }        \
+#define ROW_LOOP(n, ...) do {                                                           \
+        Py_ssize_t j = 0;                                                               \
+        for (; j + 8 <= (n); j += 8) { typedef lanes8 W; __VA_ARGS__ }                  \
         for (int tail = (n) & 7; tail; tail--, j++) { typedef uint16_t W; __VA_ARGS__ } \
     } while (0)
 
