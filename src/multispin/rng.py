@@ -336,7 +336,7 @@ compact_row(Py_ssize_t n, const uint16_t *ones, const uint16_t *twos, const uint
 typedef struct {
     int lead, n;
     const Py_ssize_t *shape, *strides[4];
-    const char *row[4];
+    const uint16_t *row[4];
     Py_ssize_t index[PyBUF_MAX_NDIM];
 } Rows;
 
@@ -351,12 +351,6 @@ rows_start(Py_buffer *const *v, int n)
     return r;
 }
 
-static const uint16_t *
-row(const Rows *r, int k)
-{
-    return (const uint16_t *)r->row[k];
-}
-
 /* The next row: one index forward on the last leading axis, and where that
    passes its end, back to index 0 and on to the axis before. */
 static void
@@ -366,7 +360,7 @@ rows_next(Rows *r)
         int carry = ++r->index[ax] == r->shape[ax];
         Py_ssize_t steps = carry ? 1 - r->shape[ax] : 1;
         for (int k = 0; k < r->n; k++)
-            r->row[k] += steps * r->strides[k][ax];
+            r->row[k] = (const uint16_t *)((const char *)r->row[k] + steps * r->strides[k][ax]);
         if (!carry)
             return;
         r->index[ax] = 0;
@@ -557,7 +551,7 @@ py_shift(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     uint16_t *o = out->buf;
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t k = 0; k < rows; k++, o += n, rows_next(&r))
-        shift_row(n, row(&r, 0), up, o);
+        shift_row(n, r.row[0], up, o);
     Py_END_ALLOW_THREADS
     return release(&held, Py_NewRef(Py_None));
 }
@@ -589,8 +583,7 @@ py_bitwise_add4(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     uint16_t *ones = out->buf;
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t k = 0; k < rows; k++, ones += n, rows_next(&r))
-        add4_row(n, row(&r, 0), row(&r, 1), row(&r, 2), row(&r, 3), ones, ones + size,
-                 ones + 2 * size);
+        add4_row(n, r.row[0], r.row[1], r.row[2], r.row[3], ones, ones + size, ones + 2 * size);
     Py_END_ALLOW_THREADS
     return release(&held, Py_NewRef(Py_None));
 }
@@ -621,7 +614,7 @@ py_nibble_compact(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     uint16_t *o = out->buf;
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t k = 0; k < rows; k++, o += n, rows_next(&r))
-        compact_row(n, row(&r, 0), row(&r, 1), row(&r, 2), row(&r, 3), (int)i, o);
+        compact_row(n, r.row[0], r.row[1], r.row[2], r.row[3], (int)i, o);
     Py_END_ALLOW_THREADS
     return release(&held, Py_NewRef(Py_None));
 }
