@@ -62,7 +62,7 @@ from .lattice import (
     unpack,
 )
 from .observables import Trajectory
-from .rng import XoshiroStreams, _kernel, stream_states
+from .rng import _ROW_PAD, XoshiroStreams, _kernel, stream_states
 
 __all__ = [
     "INIT_MODES",
@@ -224,8 +224,10 @@ def _accept(kernel, draws, compacts, levels, masks, first: int, target, scratch)
 
     XORs the flips that the (16, sims, cells, words) ``draws`` accept for the
     codes in ``compacts`` into ``target``, under the levels and masks of
-    simulations [first, first + sims), and returns their count.  ``scratch``
-    is three C-contiguous buffers shaped like the draws: uint16, uint16, bool.
+    simulations [first, first + sims), and returns their count.  Each of the
+    16 draw rows is C-contiguous, and rows may lie further apart than a row
+    (``unit_block``'s padded rows).  ``scratch`` is three C-contiguous
+    buffers shaped like the draws: uint16, uint16, bool.
     """
     if kernel is not None:
         return kernel.accept(draws, *compacts, levels, masks, first, target, scratch[0])
@@ -258,7 +260,8 @@ def _compiled_matches(kernel) -> bool:
     tail of one word, and the 3 x 3 rows of each view carry from cell to
     simulation as the compiled loops step through them.  The quarters run at
     levels of 0 and 2**23 among others, random code masks, draws at each
-    level and one either side, and all 16 codes in every compact.  The
+    level and one either side, and all 16 codes in every compact, with draw
+    rows ``_ROW_PAD`` words further apart than a row.  The
     shift, sums, compacts, whole state after each acceptance and flip count
     must match.
     """
@@ -277,9 +280,12 @@ def _compiled_matches(kernel) -> bool:
     choices = np.clip(levels[:, 1:].T[:, :, None].astype(np.int64) + np.arange(-1, 2),
                       0, _DRAW_SCALE - 1).reshape(sims, 6)
     # one draw block serves all eight quarters, which keeps this check small:
-    # every process that builds the kernels runs it
+    # every process that builds the kernels runs it.  Its rows lie apart as
+    # unit_block's padded rows do, so the row stride is checked too.
     picks = take(16, sims, cells, words) % 6
-    draws = choices[np.arange(sims)[:, None, None], picks].astype(np.uint32)
+    draws = np.empty((16, sims * cells * words + _ROW_PAD), np.uint32)[:, :-_ROW_PAD]
+    draws = draws.reshape(16, sims, cells, words)
+    draws[...] = choices[np.arange(sims)[:, None, None], picks]
     start = take(sims + 1, 8, cells + 2, words + 2)
     runs = []
     for k in (kernel, None):

@@ -693,6 +693,15 @@ class TestSeedRange:
         with pytest.raises(ValueError, match="first_stream must be at least 0, got -9"):
             Engine(DIMS, [2.0], seed=1, sim_offset=-1)
 
+    def test_sim_offset_past_the_last_stream_rejected(self):
+        # 9 streams per simulation; 2**64 = 9 * (2**64 // 9) + 7
+        last = (1 << 64) // 9 - 1  # streams [2**64 - 16, 2**64 - 7)
+        with pytest.raises(ValueError, match=f"first_stream {9 * (last + 1)} leaves no room"):
+            Engine(DIMS, [2.0], seed=1, sim_offset=last + 1)
+        eng = Engine(DIMS, [2.0], seed=1, sim_offset=last)
+        eng.sweep()
+        assert eng.halo_mismatches() == 0
+
     @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
     def test_edges_run(self, seed):
         eng = Engine(DIMS, [2.0], seed=seed)

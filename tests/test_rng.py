@@ -146,6 +146,16 @@ class TestStreamSet:
         with pytest.raises(ValueError, match="first_stream must be at least 0, got -1"):
             XoshiroStreams(1, 8, first_stream=-1)
 
+    def test_streams_past_2_64_rejected(self):
+        for first_stream in ((1 << 64) - 7, 1 << 64, 1 << 70):
+            with pytest.raises(ValueError, match=f"first_stream {first_stream} leaves no room"):
+                XoshiroStreams(1, 8, first_stream=first_stream)
+        # the last eight streams there are still run
+        block = XoshiroStreams(1, 8, first_stream=(1 << 64) - 8).unit_block(4)
+        for j in (0, 7):
+            want = _halves(Xoshiro256pp(1, (1 << 64) - 8 + j).raw64(2))
+            assert block[:, j].tolist() == want.tolist()
+
     @pytest.mark.parametrize("master_seed", [0, (1 << 64) - 1])
     @pytest.mark.parametrize("first_stream", [0, 1 << 48])
     def test_stream_states_match_stream_state(self, master_seed, first_stream):
@@ -179,6 +189,31 @@ class TestStreamSet:
         second = streams.unit_block(64)
         assert np.shares_memory(first, second)
         assert first.shape == (64, 40) and first.dtype == np.uint32
+        # a narrower range and an odd count after it: the same buffer
+        third = streams.unit_block(7, 5, 38)
+        assert third.shape == (7, 33) and np.shares_memory(third, streams._k)
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 37, 4096, 8192])
+    @pytest.mark.parametrize("counts", [(6, 4), (5, 3)], ids=["even", "odd"])
+    def test_unit_block_columns_are_scalar_streams(self, width, counts):
+        # 8-lane passes and a tail of width % 8 streams, from a column range
+        # whose start is not a multiple of 8; a second block must go on
+        # from the states the first one left
+        lo = 3
+        streams = XoshiroStreams(41, lo + width + 5, first_stream=2)
+        blocks = [streams.unit_block(count, lo, lo + width).copy() for count in counts]
+        for j in range(width):
+            gen = Xoshiro256pp(41, 2 + lo + j)
+            for block in blocks:
+                halves = _halves(gen.raw64(-(-block.shape[0] // 2)))
+                assert block[:, j].tolist() == halves[: block.shape[0]].tolist()
+
+    @pytest.mark.parametrize("count", [-1, -3])
+    def test_unit_block_rejects_negative_count(self, count):
+        streams = XoshiroStreams(8, 40)
+        with pytest.raises(ValueError, match=f"count must be at least 0, got {count}"):
+            streams.unit_block(count)
+        assert streams.unit_block(0, 2, 10).shape == (0, 8)
 
     @pytest.mark.parametrize("lo, hi", [(0, 40), (0, 1), (13, 27), (39, 40)])
     def test_unit_block_range_is_full_block_columns(self, lo, hi):
@@ -219,12 +254,18 @@ class TestStreamSet:
         monkeypatch.setattr(rng, "_CC", ("/nonexistent/cc", *rng._CC[1:]))
         assert self._fresh_build_draws(monkeypatch) == "numpy"
 
-    def test_kernel_failing_its_check_is_not_used(self, monkeypatch):
+    @pytest.mark.parametrize("before, after, copies", [
+        # one draw bit too few in both halves of the one step both passes run
+        ("0x7FFFFF;", "0x3FFFFF;", 2),
+        # the 8-lane pass leaves the fourth state word unstepped
+        ("LANES(s3) = d;", "", 1),
+    ], ids=["draw-bits", "vector-write-back"])
+    def test_kernel_failing_its_check_is_not_used(self, monkeypatch, before, after, copies):
         if shutil.which("cc") is None:
             pytest.skip("no C compiler")
-        # a kernel that keeps one draw bit too few still compiles and loads
-        broken = rng._KERNEL_C.replace("0x7FFFFF;", "0x3FFFFF;")
-        assert broken != rng._KERNEL_C
+        # each mutant still compiles and loads
+        assert rng._KERNEL_C.count(before) == copies
+        broken = rng._KERNEL_C.replace(before, after)
         monkeypatch.setattr(rng, "_KERNEL_C", broken)
         checks = []
         matches = rng._kernel_matches
@@ -286,19 +327,24 @@ class TestStreamSet:
         strided = np.zeros((2, 3, 16), np.uint16)[..., ::2]  # words two apart within a row
         misaligned = np.frombuffer(bytes(97), np.uint16, offset=1).reshape(words.shape)
         calls = {
-            kernel.unit_block: [stream_states(1, 0, 8), 2, 8, 2, np.empty(24, np.uint32)],
+            kernel.unit_block: [stream_states(1, 0, 8), 2, 8, 2, np.empty((4, 6), np.uint32)],
             kernel.shift: [words, np.empty((2, 3, 6), np.uint16), True],
             kernel.bitwise_add4: [words, words, words, words, np.empty((3, 2, 3, 8), np.uint16)],
             kernel.nibble_compact: [words, words, words, words, 3, np.empty((2, 3, 8), np.uint16)],
-            kernel.accept: [np.zeros((16, 2, 3, 8), np.uint32), *[words] * 4,
+            # draw rows 16 words further apart than a row, as unit_block's are
+            kernel.accept: [np.zeros((16, 64), np.uint32)[:, :48].reshape(16, 2, 3, 8),
+                            *[words] * 4,
                             np.zeros((2, 4, 1, 1), np.uint32), np.zeros((3, 4, 1, 1), np.uint16), 2,
                             np.zeros((2, 5, 10), np.uint16)[:, 1:-1, 1:-1], np.empty(24, np.uint16)],
         }
         wrong = [
             (kernel.unit_block, 0, stream_states(1, 0, 8)[:3]),  # not four state words
             (kernel.unit_block, 1, 8),  # empty range
-            (kernel.unit_block, 4, np.empty(23, np.uint32)),  # out too small
-            (kernel.unit_block, 4, np.empty(24, np.uint16)),  # wrong item size
+            (kernel.unit_block, 4, np.empty((3, 6), np.uint32)),  # too few rows
+            (kernel.unit_block, 4, np.empty((4, 5), np.uint32)),  # too narrow
+            (kernel.unit_block, 4, np.empty((4, 8), np.uint32)[:, :6]),  # not C-contiguous
+            (kernel.unit_block, 4, np.empty(24, np.uint32)),  # flat
+            (kernel.unit_block, 4, np.empty((4, 6), np.uint16)),  # wrong item size
             (kernel.shift, 1, np.empty((2, 3, 7), np.uint16)),
             (kernel.shift, 1, np.empty((2, 3, 12), np.uint16)[..., ::2]),  # strided output
             (kernel.shift, 0, strided),
@@ -312,6 +358,11 @@ class TestStreamSet:
             (kernel.nibble_compact, 4, 4),  # offset outside [0, 4)
             (kernel.nibble_compact, 2, words[..., :7]),
             (kernel.accept, 0, np.zeros((16, 2, 3, 7), np.uint32)),
+            (kernel.accept, 0, np.zeros((16, 2, 3, 16), np.uint32)[..., ::2]),  # strided words
+            (kernel.accept, 0, np.zeros((16, 3, 3, 8), np.uint32)[:, ::-1][:, 1:]),  # reversed
+            # rows 47 words apart, one short of a row
+            (kernel.accept, 0, np.lib.stride_tricks.as_strided(
+                np.zeros(16 * 48, np.uint32), (16, 2, 3, 8), (4 * 47, 96, 32, 4))),
             (kernel.accept, 1, words[:, :, ::-1]),  # a compact must be C-contiguous
             (kernel.accept, 6, np.zeros((2, 4, 1, 1), np.uint16)),  # masks of two rows
             (kernel.accept, 7, 3),  # simulations [3, 5) of 4
@@ -365,6 +416,8 @@ class TestUnitBlockNumpyStep:
     test_unit_block_reuses_its_buffer = TestStreamSet.test_unit_block_reuses_its_buffer
     test_unit_block_range_is_full_block_columns = TestStreamSet.test_unit_block_range_is_full_block_columns
     test_offset_slices_reproduce_full_run = TestStreamSet.test_offset_slices_reproduce_full_run
+    test_unit_block_columns_are_scalar_streams = TestStreamSet.test_unit_block_columns_are_scalar_streams
+    test_unit_block_rejects_negative_count = TestStreamSet.test_unit_block_rejects_negative_count
 
 
 class TestShaping:
