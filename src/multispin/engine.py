@@ -32,9 +32,10 @@ than 0 and 2**23, and each spin reads bit c of its own draw's mask.  A
 quarter makes one shift, one adder and four nibble compacts through this
 module's names, then one ``_accept`` call -- the masks, the select, the XOR
 into the target and the flip count.  Where ``rng`` builds its kernel module
-(``rng.draw_path()``), all of them run its compiled entry points; where it
-cannot, they run the numpy ``bitkernels`` functions and the mask select in
-numpy.  Before first use, ``_compiled_matches`` runs every quarter of a
+(``rng.draw_path()``), all of them run its compiled entry points, and the
+compiled acceptance compares each draw with its code's limit directly, from
+a 16-entry table it builds from the same levels and masks; where it cannot,
+they run the numpy ``bitkernels`` functions and the mask select in numpy.  Before first use, ``_compiled_matches`` runs every quarter of a
 small random state on both paths and requires the same words, states and
 flip counts, so both give the same states.
 """
@@ -257,8 +258,10 @@ def _compiled_matches(kernel) -> bool:
     Simulations [1, 4) of a random (4, 8, 5, 59) state with halos run all
     eight quarters in turn on both paths.  Rows of 57 words reach both
     passes of the compiled shift, adder and compacts, seven of 8 lanes and a
-    tail of one word, and the 3 x 3 rows of each view carry from cell to
-    simulation as the compiled loops step through them.  The quarters run at
+    tail of one word, and each view's runs of 3 rows, one per cell, carry
+    into the next simulation as the compiled loops step through them.  The
+    171 words of a simulation reach the acceptance's 16-word passes and an
+    11-word tail.  The quarters run at
     levels of 0 and 2**23 among others, random code masks, draws at each
     level and one either side, and all 16 codes in every compact, with draw
     rows ``_ROW_PAD`` words further apart than a row.  The

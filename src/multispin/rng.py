@@ -190,18 +190,24 @@ def _step_arrays(state: np.ndarray, count: int, out: np.ndarray | None = None,
 # one by one, with the xoshiro step written once (DRAW_ROWS).  Each stream's
 # state is loaded once, stepped through every row of the block in registers
 # and stored once, and both halves of each output go straight into the draw
-# block, whose rows are padded (_ROW_PAD).  Rows outer and streams inner, as
-# the kernel ran before, loaded and stored every state word once per row.
-# Per unit_block(16), before -> after (median of 200, 2-vCPU Xeon with
-# AVX-512, gcc 12.2): 4096 streams 42 -> 13 us, 8192 83 -> 34 us, 65536
-# 884 -> 356 us.
+# block, whose rows of a multiple of 4 KB are padded (_ROW_PAD).  Rows outer
+# and streams inner, as the kernel ran before, loaded and stored every state
+# word once per row.  Per unit_block(16), before -> after (median of 200,
+# 2-vCPU Xeon with AVX-512, gcc 12.2): 4096 streams 42 -> 13 us, 8192 83 ->
+# 34 us, 65536 884 -> 356 us.
 #
 # accept: one quarter-flip's acceptance (engine._accept).  Row r = 4i + ii
-# of the draws gates field ii of compact i, bit 4ii + i of the target word;
-# its draw's code mask is ``(k < low) & at_low | (k < high) & at_high |
-# certain`` and the spin flips when bit ``code`` of that mask is set.
-# Rows are the outer loop, and each row's pass over cells * words sits in a
-# function of its own, so the compiler vectorizes it with per-lane shifts.
+# of the draws gates field ii of compact i, bit 4ii + i of the target word,
+# and the spin flips when its draw is below the limit of its code.  Per
+# simulation, the 16 limits are built from its levels and code masks into
+# one 16-lane vector (limits), and each lane picks its code's limit from it
+# with __builtin_shuffle, one permute per row.  Words go 16 at a time, all
+# 16 rows in registers, and each word's flip bits are stored once; the last
+# n % 16 run through the same body on a zero-padded copy.  The kernel ran
+# rows outer before, one read-modify-write pass over the flip scratch per
+# row: p10 per call on the engine's views, before -> after (2-vCPU Xeon with
+# AVX-512, gcc 12.2), 256^2 x 8 10.7 -> 8.1 us, 1024^2 16.5 -> 10.5 us.  A
+# per-lane subscript loop in place of the shuffle took 39.5 us at 256^2 x 8.
 # Draw rows may lie any whole row or more apart, so unit_block's padded
 # block is read in place.
 #
@@ -214,17 +220,23 @@ def _step_arrays(state: np.ndarray, count: int, out: np.ndarray | None = None,
 # costs decide the time: finding each row by two divisions per leading axis
 # and input, and a loop vectorized 32 lanes wide that ran 8-word rows in its
 # scalar remainder, made a compact of 512 such rows take about 17 us against
-# 1.6 us for the same 4096 words in one row.  So rows step by strides
-# (Rows), and each kernel's arithmetic is written once and run eight words
-# at a time and then word by word (ROW_LOOP).  Per call, before -> after, on
-# the engine's views (best of 28 interleaved repeats, 2-vCPU Xeon with
-# AVX-512, gcc 12.2):
+# 1.6 us for the same 4096 words in one row.  So rows step by strides, in
+# counted runs along the last leading axis (RUNS), and each kernel's
+# arithmetic is written once and run eight words at a time and then word by
+# word (ROW_LOOP).  Per call, before -> after, on the engine's views (best of
+# 28 interleaved repeats, 2-vCPU Xeon with AVX-512, gcc 12.2):
 #
 #   lattice x sims (rows x words)   compact          adder            shift
 #   256^2 x 8  (512 x 8)            17.2 -> 4.4 us   15.3 -> 4.2 us   4.4 -> 1.3 us
 #   1024^2 x 1 (256 x 32)            8.3 -> 5.0 us    7.8 -> 4.5 us   2.0 -> 1.3 us
 #   512^2 x 94 (12032 x 16)          337 -> 107 us    336 -> 117 us    84 -> 34 us
 #   12x96 x 2  (6 x 3)               1.5 -> 1.5 us   0.95 -> 0.90 us  0.29 -> 0.32 us
+#
+# The rows then stepped one at a time through an odometer over every
+# leading axis.  The counted runs took, p10 per call on the same kind of
+# host measured again, 256^2 x 8 compact 2.6 -> 1.6 us, adder 2.85 -> 1.7
+# us, shift 1.02 -> 0.91 us, and 1024^2 compact 3.0 -> 2.2 us, adder 3.0 ->
+# 2.7 us.
 _KERNEL_C = r"""
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -268,16 +280,41 @@ unit_block(uint64_t *restrict s0, uint64_t *restrict s1, uint64_t *restrict s2,
     }
 }
 
-static void __attribute__((noinline))
-accept_row(long n, const uint32_t *restrict k, const uint16_t *restrict compact,
-           uint32_t field, uint32_t bit, uint32_t lo, uint32_t hi, uint32_t at_lo,
-           uint32_t at_hi, uint32_t certain, uint16_t *restrict flipped)
+/* Sixteen words in lanes: u16x16 their compacts and flip bits, u32x16 their
+   draws, codes and limits. */
+typedef uint16_t u16x16 __attribute__((vector_size(32), aligned(2), may_alias));
+typedef uint32_t u32x16 __attribute__((vector_size(64), aligned(4), may_alias));
+
+/* The flip bits of 16 words into out: draw row r = 4i + ii, `row` words
+   below k, gates field ii of c[i], bit 4ii + i, and accepts when its draw is
+   below the limit of its code, lane `code` of table. */
+static inline void
+accept16(const uint32_t *k, long row, const uint16_t *const c[4], u32x16 table, uint16_t *out)
 {
-    for (long j = 0; j < n; j++) {
-        uint32_t x = k[j], code = ((uint32_t)compact[j] >> field) & 0xF;
-        uint32_t mask = (x < lo ? at_lo : 0) | (x < hi ? at_hi : 0) | certain;
-        flipped[j] |= (uint16_t)(((mask >> code) & 1) << bit);
+    u32x16 flips = {0};
+    for (int i = 0; i < 4; i++) {
+        u32x16 codes = __builtin_convertvector(*(const u16x16 *)c[i], u32x16);
+        for (int ii = 0; ii < 4; ii++) {
+            u32x16 limit = __builtin_shuffle(table, codes >> (4 * ii) & 0xF);
+            u32x16 draws = *(const u32x16 *)(k + (4 * i + ii) * row);
+            flips |= (u32x16)(draws < limit) & (1u << (4 * ii + i));
+        }
     }
+    *(u16x16 *)out = __builtin_convertvector(flips, u16x16);
+}
+
+/* One simulation's draw limit per code: 2**23 where the code always flips,
+   else the larger of the levels whose mask holds it, else 0; so a draw is
+   below it exactly when the level-and-mask select accepts. */
+static u32x16
+limits(const uint32_t *lev, const uint16_t *msk, long n_sim)
+{
+    u32x16 table;
+    for (int c = 0; c < 16; c++) {
+        uint32_t lo = msk[0] >> c & 1 ? lev[0] : 0, hi = msk[n_sim] >> c & 1 ? lev[n_sim] : 0;
+        table[c] = msk[2 * n_sim] >> c & 1 ? 1u << 23 : lo > hi ? lo : hi;
+    }
+    return table;
 }
 
 static long
@@ -286,16 +323,27 @@ accept(long sims, long cells, long words, const uint32_t *k, long row,
        const uint32_t *levels, const uint16_t *masks, long n_sim, long first,
        uint16_t *target, long target_sim, long target_cell, uint16_t *restrict flipped)
 {
-    const uint16_t *compacts[4] = {c0, c1, c2, c3};
-    long n = cells * words, count = 0;
+    long n = cells * words, tail = n % 16, count = 0;
     for (long s = 0; s < sims; s++) {
-        const uint32_t *lev = levels + first + s;
-        const uint16_t *msk = masks + first + s;
-        memset(flipped, 0, n * sizeof *flipped);
-        for (long r = 0; r < 16; r++)
-            accept_row(n, k + r * row + s * n, compacts[r / 4] + s * n, 4 * (r % 4),
-                       4 * (r % 4) + r / 4, lev[0], lev[n_sim], msk[0], msk[n_sim],
-                       msk[2 * n_sim], flipped);
+        u32x16 table = limits(levels + first + s, masks + first + s, n_sim);
+        const uint32_t *ks = k + s * n;
+        const uint16_t *cs[4] = {c0 + s * n, c1 + s * n, c2 + s * n, c3 + s * n};
+        long j = 0;
+        for (; j + 16 <= n; j += 16)
+            accept16(ks + j, row, (const uint16_t *const[4]){cs[0] + j, cs[1] + j, cs[2] + j,
+                                                             cs[3] + j}, table, flipped + j);
+        if (tail) {
+            /* the last n % 16 words through the same body, on a zero-padded copy */
+            uint32_t kpad[16][16] = {{0}};
+            uint16_t cpad[4][16] = {{0}}, fpad[16];
+            for (int r = 0; r < 16; r++)
+                memcpy(kpad[r], ks + r * row + j, tail * sizeof **kpad);
+            for (int i = 0; i < 4; i++)
+                memcpy(cpad[i], cs[i] + j, tail * sizeof **cpad);
+            accept16(kpad[0], 16, (const uint16_t *const[4]){cpad[0], cpad[1], cpad[2], cpad[3]},
+                     table, fpad);
+            memcpy(flipped + j, fpad, tail * sizeof *fpad);
+        }
         for (long c = 0; c < cells; c++) {
             uint16_t *t = target + s * target_sim + c * target_cell;
             const uint16_t *f = flipped + c * words;
@@ -358,42 +406,59 @@ compact_row(Py_ssize_t n, const uint16_t *ones, const uint16_t *twos, const uint
 }
 
 /* The rows of up to four same-shaped buffers, every index of all axes but
-   the last in C order.  Each step adds the strides of the last leading axis
-   and carries into the axes before it as an odometer does, so no row costs
-   a division. */
+   the last in C order, walked in runs: a run is the rows along the last
+   leading axis, and RUNS steps through one by adding each buffer's stride
+   on that axis, held in a local, and counting the rows.  Between runs,
+   runs_next carries into the axes before it as an odometer does, so no row
+   costs a division or a carry. */
 typedef struct {
-    int lead, n;
+    int lead;
     const Py_ssize_t *shape, *strides[4];
     const uint16_t *row[4];
-    Py_ssize_t index[PyBUF_MAX_NDIM];
+    Py_ssize_t run, step[4], index[PyBUF_MAX_NDIM];
 } Rows;
 
+/* Buffers past the n given walk as the first. */
 static Rows
 rows_start(Py_buffer *const *v, int n)
 {
-    Rows r = {.lead = v[0]->ndim ? v[0]->ndim - 1 : 0, .n = n, .shape = v[0]->shape};
-    for (int k = 0; k < n; k++) {
-        r.strides[k] = v[k]->strides;
-        r.row[k] = v[k]->buf;
+    Rows r = {.lead = v[0]->ndim ? v[0]->ndim - 1 : 0, .shape = v[0]->shape};
+    r.run = r.lead ? r.shape[r.lead - 1] : 1;
+    for (int k = 0; k < 4; k++) {
+        const Py_buffer *b = v[k < n ? k : 0];
+        r.strides[k] = b->strides;
+        r.row[k] = b->buf;
+        r.step[k] = r.lead ? b->strides[r.lead - 1] / 2 : 0;
     }
     return r;
 }
 
-/* The next row: one index forward on the last leading axis, and where that
-   passes its end, back to index 0 and on to the axis before. */
+/* The next run: one index forward on the axis before the last leading one,
+   and where that passes its end, back to index 0 and on to the axis before. */
 static void
-rows_next(Rows *r)
+runs_next(Rows *r)
 {
-    for (int ax = r->lead - 1; ax >= 0; ax--) {
+    for (int ax = r->lead - 2; ax >= 0; ax--) {
         int carry = ++r->index[ax] == r->shape[ax];
         Py_ssize_t steps = carry ? 1 - r->shape[ax] : 1;
-        for (int k = 0; k < r->n; k++)
+        for (int k = 0; k < 4; k++)
             r->row[k] = (const uint16_t *)((const char *)r->row[k] + steps * r->strides[k][ax]);
         if (!carry)
             return;
         r->index[ax] = 0;
     }
 }
+
+/* The body once per row of r's `rows`, with the row of buffer k at rowk. */
+#define RUNS(r, rows, ...) do {                                                           \
+        for (Py_ssize_t done = 0; done < (rows); done += (r).run, runs_next(&(r))) {       \
+            const uint16_t *row0 = (r).row[0], *row1 = (r).row[1];                         \
+            const uint16_t *row2 = (r).row[2], *row3 = (r).row[3];                         \
+            Py_ssize_t d0 = (r).step[0], d1 = (r).step[1], d2 = (r).step[2], d3 = (r).step[3]; \
+            for (Py_ssize_t left = (r).run; left; left--, row0 += d0, row1 += d1,          \
+                                                      row2 += d2, row3 += d3) { __VA_ARGS__ } \
+        }                                                                                  \
+    } while (0)
 
 /* The buffers one call holds; no entry point takes more than ten. */
 typedef struct { Py_buffer view[10]; int n; } Held;
@@ -596,8 +661,7 @@ py_shift(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     Rows r = rows_start(&v, 1);
     uint16_t *o = out->buf;
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t k = 0; k < rows; k++, o += n, rows_next(&r))
-        shift_row(n, r.row[0], up, o);
+    RUNS(r, rows, shift_row(n, row0, up, o); o += n;);
     Py_END_ALLOW_THREADS
     return release(&held, Py_NewRef(Py_None));
 }
@@ -628,8 +692,8 @@ py_bitwise_add4(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     Rows r = rows_start(x, 4);
     uint16_t *ones = out->buf;
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t k = 0; k < rows; k++, ones += n, rows_next(&r))
-        add4_row(n, r.row[0], r.row[1], r.row[2], r.row[3], ones, ones + size, ones + 2 * size);
+    RUNS(r, rows, add4_row(n, row0, row1, row2, row3, ones, ones + size, ones + 2 * size);
+                  ones += n;);
     Py_END_ALLOW_THREADS
     return release(&held, Py_NewRef(Py_None));
 }
@@ -659,8 +723,7 @@ py_nibble_compact(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     Rows r = rows_start(x, 4);
     uint16_t *o = out->buf;
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t k = 0; k < rows; k++, o += n, rows_next(&r))
-        compact_row(n, r.row[0], r.row[1], r.row[2], r.row[3], (int)i, o);
+    RUNS(r, rows, compact_row(n, row0, row1, row2, row3, (int)i, o); o += n;);
     Py_END_ALLOW_THREADS
     return release(&held, Py_NewRef(Py_None));
 }
@@ -685,14 +748,17 @@ PyInit__multispin_kernels(void)
 # -march=native (2-vCPU Xeon with AVX-512, gcc 12.2).
 _CC = ("cc", "-O3", "-march=native", "-shared", "-fPIC")
 _MODULE = "_multispin_kernels"  # the name PyInit_ carries in _KERNEL_C
-# Words the compiled unit_block leaves after each draw row, one 64-byte line.
-# A stream, or an 8-lane pass of streams, writes one line in each of the
-# block's 16 rows; rows of 2**k words put those lines 2**(k+2) bytes apart,
-# all in one L1 set.  Stand-alone, 8 rows of steps took 0.98-1.04 ns per step
-# at 4096, 8192 and 65536 streams against 0.35-0.60 at widths off a power of
-# two (8.4 against 1.3-1.4 ns on a scalar loop; 2-vCPU Xeon with AVX-512,
-# gcc 12.2).
+# Words the compiled unit_block leaves after each draw row of a multiple of
+# _PADDED_WIDTH words, one 64-byte line.  A stream, or an 8-lane pass of
+# streams, writes one line in each of the block's 16 rows; rows a multiple of
+# 4 KB long put those lines in one L1 set.  Stand-alone, 8 rows of steps
+# took 0.98-1.04 ns per step at 4096, 8192 and 65536 streams against
+# 0.35-0.60 at widths off a power of two (8.4 against 1.3-1.4 ns on a scalar
+# loop; 2-vCPU Xeon with AVX-512, gcc 12.2).  Rows of other widths spread
+# over more sets and stay unpadded, so a tall block over few streams holds
+# no more words than it returns.
 _ROW_PAD = 16
+_PADDED_WIDTH = 1024  # uint32 words in 4 KB
 _UNBUILT = object()
 _kernel_handle = _UNBUILT  # the checked kernels' module, None for numpy, or _UNBUILT
 _kernel_lock = threading.Lock()
@@ -826,8 +892,9 @@ class XoshiroStreams:
     a wide set one column range at a time (the engine's flip tiles) holds
     one range's block, not the whole set's.  The compiled kernel fills a
     block in one pass, with each stream's state in registers for the whole
-    block, into rows ``_ROW_PAD`` (16) words longer than the block, so a
-    block is a view whose rows lie ``hi - lo + 16`` words apart.  The numpy
+    block; where a block row would be a multiple of 4 KB long, its rows are
+    ``_ROW_PAD`` (16) words longer than the block, so the block is a view
+    whose rows lie ``hi - lo + 16`` words apart.  The numpy
     step, which runs when the compiled kernels cannot be built
     (``draw_path()``), fills a C-contiguous block and also keeps a uint64
     step buffer of the same rows.
@@ -864,8 +931,9 @@ class XoshiroStreams:
         draw ``next_unit_float`` makes) and row ``2r + 1`` is bits 0-22 of
         the same output; an odd count drops the last low half.  The block
         lives in a reused buffer: it is valid until the next call.  On the
-        compiled path it is a view whose rows lie ``hi - lo + 16`` words
-        apart; on the numpy step it is C-contiguous.
+        compiled path, when ``hi - lo`` is a multiple of 1024, it is a view
+        whose rows lie ``hi - lo + 16`` words apart; else, and on the numpy
+        step, it is C-contiguous.
         """
         hi = self.n_streams if hi is None else hi
         if not 0 <= lo < hi <= self.n_streams:
@@ -874,7 +942,7 @@ class XoshiroStreams:
             raise ValueError(f"count must be at least 0, got {count}")
         rows, width = -(-count // 2), hi - lo
         kernel = _kernel()
-        row = width if kernel is None else width + _ROW_PAD
+        row = width + (_ROW_PAD if kernel is not None and width % _PADDED_WIDTH == 0 else 0)
         if self._k.size < 2 * rows * row:
             self._k = np.empty(2 * rows * row, dtype=np.uint32)
         block = self._k[: 2 * rows * row].reshape(2 * rows, row)

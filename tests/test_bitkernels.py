@@ -250,11 +250,13 @@ class TestCompiledAgreesWithNumpy:
         # every split of a row into 32-, 8- and 1-word passes, on rows the
         # compiled loops reach by stepping leading axes backwards and two
         # at a time, so that every carry between them is compared too; the
-        # last view has no rows
+        # next two views' runs along the last leading axis hold one row and
+        # none, and the last view has no rows
         gen = np.random.default_rng(width)
         base3 = gen.integers(0, 1 << 16, (3, 5, width + 4), dtype=np.uint16)
         base4 = gen.integers(0, 1 << 16, (3, 4, 3, width + 4), dtype=np.uint16)
-        views = [base3[::-1, ::2, 1:-1], base4[::-1, ::2, ::-1, 1:-1], base4[:, :0, ..., 1:-1]]
+        views = [base3[::-1, ::2, 1:-1], base4[::-1, ::2, ::-1, 1:-1], base4[::-1, ::2, 1:2, 1:-1],
+                 base4[::-1, ::2, :0, 1:-1], base4[:, :0, ..., 1:-1]]
 
         def results():
             out = []

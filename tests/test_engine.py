@@ -611,10 +611,13 @@ class TestFlipsNumpyPath(TestFlips):
 class TestAcceptancePaths:
     @pytest.mark.parametrize("tile_sims", [1, 2])
     @pytest.mark.parametrize("J", [1.0, 0.0, -0.7])
-    @pytest.mark.parametrize("dims", [LatticeDims(4, 32), DIMS, LatticeDims(36, 160),
+    @pytest.mark.parametrize("dims", [LatticeDims(4, 32), DIMS, LatticeDims(16, 128),
+                                      LatticeDims(4, 544), LatticeDims(36, 160),
                                       LatticeDims(128, 128)], ids=str)
     def test_compiled_and_numpy_paths_agree(self, monkeypatch, dims, J, tile_sims):
-        # 1, 9, 45 and 128 words per simulation: short rows, and a vector tail
+        # 1, 9, 16, 17, 45 and 128 words per simulation: short rows, one
+        # 16-word acceptance pass with no tail and with a one-word tail, and
+        # vector tails
         if rng.draw_path() != "native":
             pytest.skip("no compiled kernels on this host")
         monkeypatch.setattr(engine_mod, "_TILE_STREAMS", tile_sims * dims.cells * dims.words)

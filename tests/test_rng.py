@@ -281,8 +281,10 @@ class TestStreamSet:
         assert self._fresh_build_draws(monkeypatch) == "numpy"
 
     @pytest.mark.parametrize("before, after", [
-        # a draw equal to the low level accepts
-        ("x < lo", "x <= lo"),
+        # a draw equal to its code's limit accepts
+        ("draws < limit", "draws <= limit"),
+        # the padded tail's flips stay in the tail copy
+        ("memcpy(flipped + j, fpad, tail * sizeof *fpad);", ""),
         # bit 15 of the upward shift lands on bit 14
         ("<< 15 |", "<< 14 |"),
         # the flips go one word off, the last into the halo
@@ -292,7 +294,11 @@ class TestStreamSet:
         # the twos plane carries on either pair's bit rather than both, in
         # the one adder body every row width runs
         ("(s1 & s2)", "(s1 | s2)"),
-    ], ids=["accept-level", "shift-bit", "target-word", "flip-count", "adder-twos"])
+        # a run's end does not carry into the axis before: every run walks
+        # the first simulation's rows again
+        ("ax = r->lead - 2", "ax = r->lead - 3"),
+    ], ids=["accept-level", "tail-copy", "shift-bit", "target-word", "flip-count", "adder-twos",
+            "run-carry"])
     def test_quarter_kernel_failing_its_check_is_not_used(self, monkeypatch, before, after):
         # each mutant compiles, loads and steps the draws right, so only the
         # quarter check can turn it down; the sweeps then run numpy
